@@ -7,6 +7,7 @@ package explain
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -356,15 +357,23 @@ func (e *Explainer) rwRegWitness(from, to op.Op) (key, prev, next string, ok boo
 }
 
 // wwRegWitness proves a register ww edge: an inferred version edge
-// prev -> next where `from` wrote prev and `to` wrote next. Keys are
+// prev -> next where `from` wrote prev and `to` wrote next. Only keys
+// `from` wrote can join, so only their edges are streamed; keys are
 // tried in sorted order so the witness is deterministic.
 func (e *Explainer) wwRegWitness(from, to op.Op) (key, prev, next string, ok bool) {
 	if e.Keys == nil {
 		return "", "", "", false
 	}
+	var written []history.KeyID
+	for _, m := range from.Mops {
+		if id, known := e.Keys.ID(m.Key); known && m.F == op.FWrite && !slices.Contains(written, id) {
+			written = append(written, id)
+		}
+	}
+	e.Keys.SortKeyIDs(written)
 	pairs := rel.NewRelation([]string{"key", "prev", "next"}, func(yield func(rel.Tuple) bool) {
 		t := make(rel.Tuple, 3)
-		for _, id := range e.keyIDsByName() {
+		for _, id := range written {
 			if int(id) >= len(e.RegOrders) {
 				continue
 			}

@@ -35,47 +35,30 @@ func (s *session) note(o op.Op) {
 }
 
 // sweep retires every key quiescent for a full window: its op grouping,
-// cached inference result, per-value write and reader indices, and —
-// once no live key pins them — its ops. A retired key seen again is
-// re-analyzed as brand new.
+// cached inference result, version index, per-value write and reader
+// indices, and — once no live key pins them — its ops. A retired key
+// seen again is re-analyzed as brand new.
 func (s *session) sweep() {
 	dead, deadOps := s.rt.Sweep()
-	if len(dead) == 0 && len(deadOps) == 0 {
-		return
-	}
 	a := s.a
-	deadSet := make(map[history.KeyID]bool, len(dead))
 	for _, k := range dead {
-		deadSet[k] = true
 		if int(k) < len(a.byKey) {
 			a.byKey[k] = nil
 		}
-		delete(s.cache, k)
-		delete(s.keySet, k)
-	}
-	if len(dead) > 0 {
-		// The per-value maps are keyed by (key, value); one full
-		// iteration per sweep frees every entry of every dead key.
-		for vk := range a.writer {
-			if deadSet[vk.key] {
+		if int(k) < len(a.vers) {
+			// Every (key, value) entry of the per-value maps has its
+			// value in the key's version index.
+			for _, v := range a.vers[k].vals {
+				vk := verKey{k, v}
 				delete(a.writer, vk)
-			}
-		}
-		for vk := range a.failedWriter {
-			if deadSet[vk.key] {
 				delete(a.failedWriter, vk)
-			}
-		}
-		for vk := range a.writeCount {
-			if deadSet[vk.key] {
 				delete(a.writeCount, vk)
-			}
-		}
-		for vk := range a.readers {
-			if deadSet[vk.key] {
 				delete(a.readers, vk)
 			}
+			a.vers[k] = keyVersions{}
 		}
+		delete(s.cache, k)
+		delete(s.keySet, k)
 	}
 	for _, i := range deadOps {
 		delete(a.ops, i)

@@ -22,6 +22,18 @@
 // paper describes. Acyclic orders are transitively reduced and exploded
 // into ww / wr / rw transaction dependencies using recoverability (every
 // written value unique).
+//
+// Version orders are computed over a dense per-key version index.
+// Ingestion interns each value the first time it is written or read for
+// its key, and records the key's readers of the initial version. Per-key
+// inference sorts the key's values into ordinals (nil first, then
+// ascending value, so walking ordinals walks versions in value order)
+// and builds the version graph as sorted adjacency over ordinals. One
+// topological pass (Kahn's algorithm) detects cycles; only a cyclic key
+// runs the DFS that extracts its witness. Transitive reduction visits
+// versions in reverse topological order with one reachability bitset
+// row per version: O(V·E/64) time for V versions and E edges, and V²/64
+// words of rows.
 package rwregister
 
 import (
@@ -73,6 +85,16 @@ type verKey struct {
 	val int
 }
 
+// keyVersions is one key's version index, maintained by addOp.
+type keyVersions struct {
+	// vals lists every non-nil value written or read, each once, in
+	// first-seen order; analyzeKey sorts them into ordinals.
+	vals []int
+	// nilReaders lists the ok transactions that read the initial
+	// version, in index order.
+	nilReaders []int
+}
+
 type analyzer struct {
 	opts workload.Opts
 	h    *history.History
@@ -86,6 +108,7 @@ type analyzer struct {
 	failedWriter map[verKey]int
 	writeCount   map[verKey]int
 	readers      map[verKey][]int // ok transactions that read (key, val)
+	vers         []keyVersions    // per-key version index, by KeyID
 	anomalies    []anomaly.Anomaly
 
 	// failedIx indexes failed_write(key, value, writer) tuples — the
@@ -203,11 +226,12 @@ type keyResult struct {
 // key, so scanning only the ops that touch it changes nothing but cost.
 func (a *analyzer) analyzeKey(k history.KeyID, oks []op.Op) keyResult {
 	vg := a.versionGraph(k, oks)
-	if cyc := cyclicWitness(vg); cyc != nil {
-		return keyResult{cyclic: cyc}
+	topo, acyclic := vg.topoOrder()
+	if !acyclic {
+		return keyResult{cyclic: vg.cyclicWitness()}
 	}
-	reduce(vg)
-	verEdges, edges := a.emitEdges(k, vg, oks)
+	vg.reduce(topo)
+	verEdges, edges := a.emitEdges(k, vg)
 	return keyResult{verEdges: verEdges, edges: edges}
 }
 
@@ -217,8 +241,9 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 
 // addOp indexes one completion op: the op and span maps, the per-value
 // write index with its recoverability transitions (first write claims
-// the writer slot, a second write evicts it), and the reader index.
-// Ops must be added in ascending index order.
+// the writer slot, a second write evicts it), the reader index, and the
+// per-key version index (each value interned the first time it is
+// written or read). Ops must be added in ascending index order.
 func (a *analyzer) addOp(o op.Op, span [2]int) {
 	a.ops[o.Index] = o
 	a.spanOf[o.Index] = span
@@ -243,6 +268,9 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 			a.writeCount[vk]++
 			switch a.writeCount[vk] {
 			case 1:
+				if len(a.readers[vk]) == 0 {
+					a.addVersion(k, m.Arg)
+				}
 				if o.Type == op.Fail {
 					a.failedWriter[vk] = o.Index
 				} else {
@@ -252,11 +280,27 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 				delete(a.writer, vk)
 				delete(a.failedWriter, vk)
 			}
-		case m.F == op.FRead && o.Type == op.OK && m.RegKnown && !m.RegNil:
+		case m.F == op.FRead && o.Type == op.OK && m.RegKnown && m.RegNil:
+			a.vers = history.GrowKeyed(a.vers, k)
+			nr := a.vers[k].nilReaders
+			if n := len(nr); n == 0 || nr[n-1] != o.Index {
+				a.vers[k].nilReaders = append(nr, o.Index)
+			}
+		case m.F == op.FRead && o.Type == op.OK && m.RegKnown:
 			vk := verKey{k, m.Reg}
-			a.readers[vk] = append(a.readers[vk], o.Index)
+			rs := a.readers[vk]
+			if len(rs) == 0 && a.writeCount[vk] == 0 {
+				a.addVersion(k, m.Reg)
+			}
+			a.readers[vk] = append(rs, o.Index)
 		}
 	}
+}
+
+// addVersion interns value v into key k's version index.
+func (a *analyzer) addVersion(k history.KeyID, v int) {
+	a.vers = history.GrowKeyed(a.vers, k)
+	a.vers[k].vals = append(a.vers[k].vals, v)
 }
 
 // duplicateWriteAnomalies reports every value written more than once,

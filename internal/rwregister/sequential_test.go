@@ -1,7 +1,6 @@
 package rwregister
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/anomaly"
@@ -81,84 +80,4 @@ func TestDefaultOptsEnableEverything(t *testing.T) {
 	if !o.InitialState || !o.WritesFollowReads || !o.LinearizableKeys || !o.SequentialKeys {
 		t.Errorf("DefaultOpts = %+v", o)
 	}
-}
-
-// TestReductionPreservesReachability: the transitive reduction used
-// before edge explosion must keep exactly the original reachability.
-func TestReductionPreservesReachability(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		// Random DAG over n nodes: edges only from lower to higher ids.
-		n := 2 + rng.Intn(8)
-		vg := map[int]map[int]bool{}
-		for i := 0; i < n; i++ {
-			vg[i] = map[int]bool{}
-		}
-		for e := 0; e < rng.Intn(20); e++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a < b {
-				vg[a][b] = true
-			}
-		}
-		before := reachabilityMatrix(vg, n)
-		reduce(vg)
-		after := reachabilityMatrix(vg, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if before[i][j] != after[i][j] {
-					t.Fatalf("trial %d: reduction changed reachability %d->%d", trial, i, j)
-				}
-			}
-		}
-		// And it must be minimal: removing any remaining edge changes
-		// reachability.
-		for u, outs := range vg {
-			for v := range outs {
-				delete(vg[u], v)
-				broken := !reachable(vg, u, v)
-				vg[u][v] = true
-				if !broken {
-					t.Fatalf("trial %d: edge %d->%d survives but is redundant", trial, u, v)
-				}
-			}
-		}
-	}
-}
-
-func reachabilityMatrix(vg map[int]map[int]bool, n int) [][]bool {
-	m := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		m[i] = make([]bool, n)
-		stack := []int{i}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for v := range vg[u] {
-				if !m[i][v] {
-					m[i][v] = true
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return m
-}
-
-func reachable(vg map[int]map[int]bool, from, to int) bool {
-	seen := map[int]bool{from: true}
-	stack := []int{from}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range vg[u] {
-			if v == to {
-				return true
-			}
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return false
 }

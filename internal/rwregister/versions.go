@@ -1,8 +1,11 @@
 package rwregister
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/anomaly"
@@ -12,30 +15,27 @@ import (
 )
 
 // versionGraph builds the per-key partial version order for key k from
-// the enabled inference rules. Nodes are written/observed values, with
+// the enabled inference rules, over the key's interned versions with
 // nilVer standing in for the initial version.
-func (a *analyzer) versionGraph(k history.KeyID, oks []op.Op) map[int]map[int]bool {
-	vg := map[int]map[int]bool{}
-	addVer := func(v int) {
-		if vg[v] == nil {
-			vg[v] = map[int]bool{}
+func (a *analyzer) versionGraph(k history.KeyID, oks []op.Op) *versionGraph {
+	vers := a.sortedVersions(k)
+	ord := func(v int) uint64 {
+		i, found := slices.BinarySearch(vers, v)
+		if !found {
+			panic(fmt.Sprintf("rwregister: version %d of key %s missing from the version index", v, a.in.Key(k)))
 		}
+		return uint64(i)
 	}
+	var edges []uint64
 	addEdge := func(u, v int) {
-		if u == v {
-			return
+		if u != v {
+			edges = append(edges, ord(u)<<32|ord(v))
 		}
-		addVer(u)
-		addVer(v)
-		vg[u][v] = true
 	}
-	addVer(nilVer)
-
-	versions := a.versionsOf(k)
-	for _, v := range versions {
-		addVer(v)
-		if a.opts.InitialState {
-			addEdge(nilVer, v)
+	if a.opts.InitialState {
+		// nilVer is ordinal 0, so nil -> v packs to v's ordinal alone.
+		for i := 1; i < len(vers); i++ {
+			edges = append(edges, uint64(i))
 		}
 	}
 
@@ -73,7 +73,22 @@ func (a *analyzer) versionGraph(k history.KeyID, oks []op.Op) map[int]map[int]bo
 	if a.opts.SequentialKeys {
 		a.sequentialEdges(k, oks, addEdge)
 	}
-	return vg
+	return newVersionGraph(vers, edges)
+}
+
+// sortedVersions lists key k's versions in ascending order: nilVer
+// first, then every value written or read, each once. A version's
+// position in this list is its ordinal in the key's version graph.
+func (a *analyzer) sortedVersions(k history.KeyID) []int {
+	var vals []int
+	if int(k) < len(a.vers) {
+		vals = a.vers[k].vals
+	}
+	vers := make([]int, 0, len(vals)+1)
+	vers = append(vers, nilVer)
+	vers = append(vers, vals...)
+	slices.Sort(vers)
+	return slices.Compact(vers)
 }
 
 // sequentialEdges infers vi <x vj whenever one committed process touched
@@ -120,28 +135,6 @@ func (a *analyzer) sequentialEdges(k history.KeyID, oks []op.Op, addEdge func(u,
 		}
 		byProcess[o.Process] = touch{process: o.Process, index: o.Index, first: first, last: last, ok: true}
 	}
-}
-
-// versionsOf lists every value observed or written for key k, in
-// ascending order, excluding nil.
-func (a *analyzer) versionsOf(k history.KeyID) []int {
-	set := map[int]bool{}
-	for vk := range a.writeCount {
-		if vk.key == k {
-			set[vk.val] = true
-		}
-	}
-	for vk := range a.readers {
-		if vk.key == k {
-			set[vk.val] = true
-		}
-	}
-	var out []int
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // linearizableEdges infers vi <x vj whenever a committed transaction A
@@ -210,159 +203,214 @@ func (a *analyzer) linearizableEdges(k history.KeyID, oks []op.Op, addEdge func(
 	}
 }
 
-// cyclicWitness returns a cycle of versions if the version graph has one,
-// or nil if the graph is acyclic. Uses iterative DFS with colors.
-func cyclicWitness(vg map[int]map[int]bool) []int {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[int]int{}
-	parent := map[int]int{}
-	var nodes []int
-	for v := range vg {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
+// versionGraph is one key's inferred version order over dense ordinals:
+// ordinal i stands for version vers[i], and vers is ascending, so
+// ordinal 0 is nilVer and walking ordinals walks versions in value
+// order. Edges are stored compressed by source: the direct successors
+// of i are succ[start[i]:start[i+1]], ascending and without duplicates.
+type versionGraph struct {
+	vers  []int
+	start []int32
+	succ  []int32
+}
 
-	for _, root := range nodes {
+// newVersionGraph builds the graph over vers from edges packed as
+// from<<32 | to ordinals, in any order and with duplicates.
+func newVersionGraph(vers []int, edges []uint64) *versionGraph {
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	g := &versionGraph{vers: vers, start: make([]int32, len(vers)+1), succ: make([]int32, len(edges))}
+	for i, e := range edges {
+		g.start[e>>32+1]++
+		g.succ[i] = int32(uint32(e))
+	}
+	for i := 1; i < len(g.start); i++ {
+		g.start[i] += g.start[i-1]
+	}
+	return g
+}
+
+func (g *versionGraph) succs(u int32) []int32 { return g.succ[g.start[u]:g.start[u+1]] }
+
+// topoOrder returns the ordinals in a topological order (Kahn's
+// algorithm), or false if the graph has a cycle.
+func (g *versionGraph) topoOrder() ([]int32, bool) {
+	n := len(g.vers)
+	indeg := make([]int32, n)
+	for _, v := range g.succ {
+		indeg[v]++
+	}
+	order := make([]int32, 0, n)
+	for u := range n {
+		if indeg[u] == 0 {
+			order = append(order, int32(u))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, v := range g.succs(order[i]) {
+			if indeg[v]--; indeg[v] == 0 {
+				order = append(order, v)
+			}
+		}
+	}
+	return order, len(order) == n
+}
+
+// cyclicWitness returns a cycle of versions, or nil if the graph is
+// acyclic. It is an iterative colored DFS taking roots and successors in
+// ascending version order, so the same graph always yields the same
+// witness.
+func (g *versionGraph) cyclicWitness() []int {
+	const (
+		white = iota
+		gray
+		black
+	)
+	n := len(g.vers)
+	color := make([]uint8, n)
+	parent := make([]int32, n)
+	type frame struct{ v, next int32 } // next indexes succ
+	var stack []frame
+	for root := range int32(n) {
 		if color[root] != white {
 			continue
 		}
-		type frame struct {
-			v    int
-			next []int
-			i    int
-		}
-		stack := []frame{{v: root, next: sortedTargets(vg[root])}}
 		color[root] = gray
+		stack = append(stack[:0], frame{root, g.start[root]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.i < len(f.next) {
-				w := f.next[f.i]
-				f.i++
-				switch color[w] {
-				case white:
-					color[w] = gray
-					parent[w] = f.v
-					stack = append(stack, frame{v: w, next: sortedTargets(vg[w])})
-				case gray:
-					// Found a back edge f.v -> w: reconstruct the cycle.
-					cyc := []int{w}
-					for at := f.v; at != w; at = parent[at] {
-						cyc = append(cyc, at)
-					}
-					// Reverse into forward order.
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
+			if f.next == g.start[f.v+1] {
+				color[f.v] = black
+				stack = stack[:len(stack)-1]
 				continue
 			}
-			color[f.v] = black
-			stack = stack[:len(stack)-1]
+			w := g.succ[f.next]
+			f.next++
+			switch color[w] {
+			case white:
+				color[w] = gray
+				parent[w] = f.v
+				stack = append(stack, frame{w, g.start[w]})
+			case gray:
+				// A back edge f.v -> w closes the cycle w -> ... -> f.v -> w.
+				cyc := []int{g.vers[w]}
+				for at := f.v; at != w; at = parent[at] {
+					cyc = append(cyc, g.vers[at])
+				}
+				slices.Reverse(cyc)
+				return cyc
+			}
 		}
 	}
 	return nil
 }
 
-func sortedTargets(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for v := range m {
-		out = append(out, v)
+// reduce removes transitively implied edges from the acyclic graph, so
+// that direct edges mean "next version"; topo is a topological order.
+// Nodes are visited in reverse topological order, each accumulating a
+// bitset row of the versions it reaches. A node's successors are taken
+// in topological order, and one already in the row is reachable through
+// an earlier successor, so its direct edge is implied. Each kept edge
+// costs one row union: O(V·E/64) time and V²/64 words of rows.
+func (g *versionGraph) reduce(topo []int32) {
+	n := len(g.vers)
+	words := (n + 63) / 64
+	reach := make([]uint64, n*words)
+	row := func(u int32) []uint64 { return reach[int(u)*words : (int(u)+1)*words] }
+	pos := make([]int32, n)
+	for i, u := range topo {
+		pos[u] = int32(i)
 	}
-	sort.Ints(out)
-	return out
-}
-
-// reduce removes transitively implied edges from an acyclic version graph
-// in place, so that direct edges mean "next version".
-func reduce(vg map[int]map[int]bool) {
-	for u, outs := range vg {
-		for v := range outs {
-			if reachableAvoiding(vg, u, v) {
-				delete(outs, v)
+	keep := make([]bool, len(g.succ))
+	var slots []int32
+	for i := n - 1; i >= 0; i-- {
+		u := topo[i]
+		ru := row(u)
+		slots = slots[:0]
+		for e := g.start[u]; e < g.start[u+1]; e++ {
+			slots = append(slots, e)
+		}
+		slices.SortFunc(slots, func(x, y int32) int { return cmp.Compare(pos[g.succ[x]], pos[g.succ[y]]) })
+		for _, e := range slots {
+			v := g.succ[e]
+			if ru[v/64]&(1<<(v%64)) != 0 {
+				continue
+			}
+			keep[e] = true
+			ru[v/64] |= 1 << (v % 64)
+			for w, bits := range row(v) {
+				ru[w] |= bits
 			}
 		}
 	}
-}
-
-// reachableAvoiding reports whether v is reachable from u without using
-// the direct edge u->v.
-func reachableAvoiding(vg map[int]map[int]bool, u, v int) bool {
-	visited := map[int]bool{u: true}
-	stack := []int{}
-	for w := range vg[u] {
-		if w != v && !visited[w] {
-			visited[w] = true
-			stack = append(stack, w)
-		}
-	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if x == v {
-			return true
-		}
-		for w := range vg[x] {
-			if !visited[w] {
-				visited[w] = true
-				stack = append(stack, w)
+	kept := int32(0)
+	for u := range n {
+		lo, hi := g.start[u], g.start[u+1]
+		g.start[u] = kept
+		for e := lo; e < hi; e++ {
+			if keep[e] {
+				g.succ[kept] = g.succ[e]
+				kept++
 			}
 		}
 	}
-	return false
+	g.start[n] = kept
+	g.succ = g.succ[:kept]
 }
 
 // emitEdges explodes key k's reduced version order into ww and rw
 // transaction dependencies, returning the direct version edges for
-// reporting alongside the dependency edges.
-func (a *analyzer) emitEdges(k history.KeyID, vg map[int]map[int]bool, oks []op.Op) ([][2]string, []graph.Edge) {
-	var edges [][2]string
+// reporting alongside the dependency edges. Versions are walked in
+// ordinal (value) order, so the output order is deterministic.
+func (a *analyzer) emitEdges(k history.KeyID, g *versionGraph) ([][2]string, []graph.Edge) {
+	n := len(g.vers)
+	writers := make([]int, n) // -1: no recoverable writer
+	names := make([]string, n)
+	for i, v := range g.vers {
+		writers[i] = -1
+		if w, ok := a.writer[verKey{k, v}]; ok {
+			writers[i] = w
+		}
+		names[i] = verName(v)
+	}
+	edges := make([][2]string, 0, len(g.succ))
 	var deps []graph.Edge
-	for _, u := range sortedTargets(allNodes(vg)) {
-		for _, v := range sortedTargets(vg[u]) {
-			edges = append(edges, [2]string{verName(u), verName(v)})
+	for u := range int32(n) {
+		succs := g.succs(u)
+		if len(succs) == 0 {
+			continue
+		}
+		readers := a.readersOf(k, g.vers[u])
+		for _, v := range succs {
+			edges = append(edges, [2]string{names[u], names[v]})
+			wv := writers[v]
+			if wv < 0 {
+				continue
+			}
 			// ww: writer of u installed the version v's writer replaced.
-			if u != nilVer {
-				if wu, ok := a.writer[verKey{k, u}]; ok {
-					if wv, ok := a.writer[verKey{k, v}]; ok {
-						deps = append(deps, graph.Edge{From: wu, To: wv, Kind: graph.WW})
-					}
-				}
+			if u != 0 && writers[u] >= 0 {
+				deps = append(deps, graph.Edge{From: writers[u], To: wv, Kind: graph.WW})
 			}
 			// rw: every reader of u anti-depends on the writer of its
 			// successor v.
-			if wv, ok := a.writer[verKey{k, v}]; ok {
-				for _, r := range a.readersOf(k, u, oks) {
-					deps = append(deps, graph.Edge{From: r, To: wv, Kind: graph.RW})
-				}
+			for _, r := range readers {
+				deps = append(deps, graph.Edge{From: r, To: wv, Kind: graph.RW})
 			}
 		}
 	}
 	return edges, deps
 }
 
-// readersOf returns ok transactions that read version v of key k; v may
-// be nilVer.
-func (a *analyzer) readersOf(k history.KeyID, v int, oks []op.Op) []int {
+// readersOf returns ok transactions that read version v of key k, in
+// index order; v may be nilVer.
+func (a *analyzer) readersOf(k history.KeyID, v int) []int {
 	if v != nilVer {
 		return a.readers[verKey{k, v}]
 	}
-	kname := a.in.Key(k)
-	var out []int
-	for _, o := range oks {
-		for _, m := range o.Mops {
-			if m.F == op.FRead && m.Key == kname && m.RegKnown && m.RegNil {
-				out = append(out, o.Index)
-				break
-			}
-		}
+	if int(k) < len(a.vers) {
+		return a.vers[k].nilReaders
 	}
-	sort.Ints(out)
-	return out
+	return nil
 }
 
 // emitWR adds write-read dependencies, which need no version order: a
@@ -389,19 +437,11 @@ func (a *analyzer) emitWR(g *graph.Graph) {
 	}
 }
 
-func allNodes(vg map[int]map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(vg))
-	for v := range vg {
-		out[v] = true
-	}
-	return out
-}
-
 func verName(v int) string {
 	if v == nilVer {
 		return "nil"
 	}
-	return fmt.Sprintf("%d", v)
+	return strconv.Itoa(v)
 }
 
 func formatVersionCycle(cyc []int) string {
@@ -413,22 +453,12 @@ func formatVersionCycle(cyc []int) string {
 	return strings.Join(parts, " < ")
 }
 
+// keys lists every key with an interned version or a committed op, in
+// key-name order.
 func (a *analyzer) keys() []history.KeyID {
-	seen := make([]bool, a.in.Len())
-	for vk := range a.writeCount {
-		seen[vk.key] = true
-	}
-	for vk := range a.readers {
-		seen[vk.key] = true
-	}
-	for k := range a.byKey {
-		if len(a.byKey[k]) > 0 {
-			seen[k] = true
-		}
-	}
 	var out []history.KeyID
-	for k, s := range seen {
-		if s {
+	for k := range a.in.Len() {
+		if (k < len(a.vers) && len(a.vers[k].vals) > 0) || (k < len(a.byKey) && len(a.byKey[k]) > 0) {
 			out = append(out, history.KeyID(k))
 		}
 	}
