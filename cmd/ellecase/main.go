@@ -2,33 +2,28 @@
 // checks the resulting histories with Elle, and reports whether each run
 // matched its expected anomaly signature.
 //
-// It has two campaign tables:
-//
-//   - the paper's §7 case studies (-db): four database bug
-//     reproductions, judged by the anomaly families the paper reports;
-//   - the nemesis campaign table (-campaign): composable named faults
-//     paired with every registered workload, judged by machine-checkable
-//     verdicts — soundness campaigns must check clean, planted-bug
-//     campaigns must surface their class and nothing unrelated.
-//
-// Both tables are derived from their packages (casestudy, nemesis) and
-// the workload registry, so new scenarios, campaigns, faults, and
-// workloads show up here with no CLI edits.
+// The campaigns come from the nemesis table: composable named faults
+// paired with every registered workload, plus the paper's §7 case
+// studies (tidb, yugabyte, fauna, dgraph). Each is judged by a
+// machine-checkable verdict — soundness campaigns must check clean,
+// planted-bug and case-study campaigns must surface their classes and
+// nothing unrelated. The table is derived from the nemesis package and
+// the workload registry, so new campaigns, faults, and workloads show up
+// here with no CLI edits.
 //
 // Usage:
 //
-//	ellecase                       run every §7 case study
-//	ellecase -db tidb              run one case study
-//	ellecase -campaign all -json   run the nemesis table, JSON verdicts
+//	ellecase                       run every campaign
+//	ellecase -campaign tidb -v     one campaign, with explanations
+//	ellecase -campaign all -json   JSON verdicts
 //	ellecase -campaign k-atomicity -seed 7 -stream
 //	ellecase -list                 list campaigns and faults
 //
 // Flags:
 //
-//	-db NAME       one case study (tidb, yugabyte, fauna, dgraph, …) or all
-//	-campaign NAME one nemesis campaign, or all
-//	-list          list nemesis campaigns and the fault catalog
-//	-json          emit nemesis verdicts as JSON (deterministic per seed)
+//	-campaign NAME one campaign, or all (default)
+//	-list          list campaigns and the fault catalog
+//	-json          emit verdicts as JSON (deterministic per seed)
 //	-stream        check through the incremental API instead of batch
 //	-mem-budget N  cap the stream's resident completed ops (0 = unbounded);
 //	               tiny budgets force retirement mid-campaign and must not
@@ -37,7 +32,7 @@
 //	-clients N     concurrent client threads (default 10)
 //	-txns N        transactions per campaign (default 2000)
 //	-seed N        run seed (default 1)
-//	-v             print every anomaly explanation (-db mode)
+//	-v             print every anomaly explanation (text output only)
 //
 // Exit status: 0 if every selected campaign matched, 1 otherwise, 2 on
 // usage errors.
@@ -51,9 +46,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/casestudy"
 	"repro/internal/nemesis"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -61,13 +54,11 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	names := casestudy.Names()
 	fs := flag.NewFlagSet("ellecase", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	db := fs.String("db", "", "case study: "+strings.Join(names, ", ")+", or all")
-	campaign := fs.String("campaign", "", "nemesis campaign: "+strings.Join(nemesis.Names(), ", ")+", or all")
-	list := fs.Bool("list", false, "list nemesis campaigns and the fault catalog")
-	jsonOut := fs.Bool("json", false, "emit nemesis verdicts as JSON")
+	campaign := fs.String("campaign", "all", "campaign: "+strings.Join(nemesis.Names(), ", ")+", or all")
+	list := fs.Bool("list", false, "list campaigns and the fault catalog")
+	jsonOut := fs.Bool("json", false, "emit verdicts as JSON")
 	stream := fs.Bool("stream", false, "check through the incremental API")
 	memBudget := fs.Int("mem-budget", 0, "stream resident completed-op cap (0 = unbounded)")
 	par := fs.Int("p", 0, "checker parallelism (0 = one worker per CPU)")
@@ -90,70 +81,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *campaign != "" && *db != "" {
-		fmt.Fprintln(stderr, "ellecase: -db and -campaign are mutually exclusive")
-		return 2
-	}
-	if *campaign != "" {
-		return runCampaigns(*campaign, nemesis.Config{
-			Seed: *seed, Clients: *clients, Txns: *txns,
-			Parallelism: *par, Stream: *stream, MemoryBudget: *memBudget,
-		}, *jsonOut, stdout, stderr)
-	}
-	if *db == "" {
-		*db = "all"
-	}
-
-	var scenarios []casestudy.Scenario
-	if *db == "all" {
-		scenarios = casestudy.Scenarios()
-	} else {
-		s, ok := casestudy.Find(*db)
-		if !ok {
-			fmt.Fprintf(stderr, "ellecase: unknown database %q (%s, all)\n",
-				*db, strings.Join(names, ", "))
-			return 2
-		}
-		scenarios = []casestudy.Scenario{s}
-	}
-	// Every scenario's analyzer must come from the live registry; a
-	// scenario naming a workload nothing registered is a configuration
-	// error worth a clear message, not a core panic.
-	for _, s := range scenarios {
-		if _, ok := workload.Lookup(string(s.Workload)); !ok {
-			fmt.Fprintf(stderr, "ellecase: campaign %s needs workload %q, which is not registered (have: %s)\n",
-				s.Name, s.Workload, workload.NameList())
-			return 2
-		}
-	}
-
-	cfg := casestudy.Config{Clients: *clients, Txns: *txns, Seed: *seed}
-	allGood := true
-	for _, s := range scenarios {
-		r := casestudy.Run(s, cfg)
-		fmt.Fprint(stdout, r.Report())
-		if *verbose {
-			for i, a := range r.Check.Anomalies {
-				fmt.Fprintf(stdout, "\n--- anomaly %d: %s ---\n", i+1, a.Type)
-				if a.Explanation != "" {
-					fmt.Fprintln(stdout, a.Explanation)
-				}
-			}
-		}
-		fmt.Fprintln(stdout)
-		if !r.Reproduced {
-			allGood = false
-		}
-	}
-	if !allGood {
-		return 1
-	}
-	return 0
+	return runCampaigns(*campaign, nemesis.Config{
+		Seed: *seed, Clients: *clients, Txns: *txns,
+		Parallelism: *par, Stream: *stream, MemoryBudget: *memBudget,
+	}, *jsonOut, *verbose, stdout, stderr)
 }
 
-// runCampaigns executes nemesis campaigns and renders verdicts, either
-// as a human-readable table or as a deterministic JSON array.
-func runCampaigns(name string, cfg nemesis.Config, jsonOut bool, stdout, stderr io.Writer) int {
+// runCampaigns executes campaigns and renders verdicts, either as a
+// human-readable table (with every anomaly's explanation under verbose)
+// or as a deterministic JSON array.
+func runCampaigns(name string, cfg nemesis.Config, jsonOut, verbose bool, stdout, stderr io.Writer) int {
 	var campaigns []nemesis.Campaign
 	if name == "all" {
 		campaigns = nemesis.Campaigns()
@@ -211,6 +148,15 @@ func runCampaigns(name string, cfg nemesis.Config, jsonOut bool, stdout, stderr 
 				fmt.Fprintf(stdout, " UNEXPECTED=%v", v.Unexpected)
 			}
 			fmt.Fprintln(stdout)
+			if verbose {
+				for i, a := range v.Check.Anomalies {
+					fmt.Fprintf(stdout, "\n--- anomaly %d: %s ---\n", i+1, a.Type)
+					if a.Explanation != "" {
+						fmt.Fprintln(stdout, a.Explanation)
+					}
+				}
+				fmt.Fprintln(stdout)
+			}
 		}
 	}
 	if !allGood {

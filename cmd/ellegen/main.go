@@ -2,8 +2,8 @@
 // engine and writes it as JSON lines (or, with -format binary, as an
 // ellebin stream — see docs/FORMATS.md), ready for `elle` to check. It
 // is the recording half of the record/check pipeline: pick an isolation
-// level and (optionally) a named fault campaign, and pipe the result
-// into the checker.
+// level and (optionally) named faults, and pipe the result into the
+// checker.
 //
 //	ellegen -iso snapshot-isolation -faults tidb -txns 2000 | elle -model snapshot-isolation -
 //
@@ -13,14 +13,18 @@
 //	                 rw-register, set-add, counter, bank, or an alias
 //	-iso LEVEL       read-uncommitted, read-committed, snapshot-isolation,
 //	                 serializable, strict-serializable (default)
-//	-faults NAME     none (default), tidb, yugabyte, fauna, dgraph, retry,
-//	                 stale, nilreads, dup
+//	-faults NAMES    none (default), a campaign name (its faults: tidb,
+//	                 yugabyte, fauna, dgraph, …), or a comma-separated
+//	                 list of catalog faults (stale-read,abort); see
+//	                 `ellecase -list`
 //	-clients N       concurrent client threads (default 10)
 //	-txns N          transactions to run (default 1000)
 //	-keys N          active keys (default 5)
 //	-writes-per-key N  key retirement width (default 100)
-//	-abort P         spontaneous abort probability (default 0)
-//	-info P          lost-commit-ack probability (default 0)
+//	-abort P         spontaneous abort probability (default 0; a positive
+//	                 value overrides the abort fault's)
+//	-info P          lost-commit-ack probability (default 0; a positive
+//	                 value overrides the lost-ack fault's)
 //	-timestamps      expose engine timestamps in op times
 //	-seed N          run seed (default 1)
 //	-format FORMAT   output format: json (default) or binary (ellebin)
@@ -32,12 +36,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/binhist"
 	"repro/internal/gen"
 	"repro/internal/history"
 	"repro/internal/jsonhist"
 	"repro/internal/memdb"
+	"repro/internal/nemesis"
 	"repro/internal/workload"
 
 	// Populate the workload registry so -workload resolves every
@@ -55,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workloadFlag := fs.String("workload", "list",
 		"workload: "+workload.NameList()+" (or an alias)")
 	iso := fs.String("iso", "strict-serializable", "engine isolation level")
-	faults := fs.String("faults", "none", "fault campaign: none, tidb, yugabyte, fauna, dgraph, retry, stale, nilreads, dup")
+	faults := fs.String("faults", "none", "none, a campaign name, or comma-separated catalog faults (see ellecase -list)")
 	clients := fs.Int("clients", 10, "concurrent client threads")
 	txns := fs.Int("txns", 1000, "transactions to run")
 	keys := fs.Int("keys", 5, "active keys")
@@ -107,33 +113,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var f memdb.Faults
-	switch *faults {
-	case "none", "":
-	case "tidb", "retry":
-		f = memdb.Faults{RetryStompProb: 0.4, RetryRebaseProb: 1}
-	case "yugabyte":
-		f = memdb.Faults{SkipReadValidationProb: 0.3}
-	case "fauna":
-		f = memdb.Faults{SkipOwnWriteProb: 0.1}
-	case "dgraph", "nilreads":
-		f = memdb.Faults{NilReadProb: 0.08}
-	case "stale":
-		f = memdb.Faults{StaleReadProb: 0.3}
-	case "dup":
-		f = memdb.Faults{DuplicateAppendProb: 0.1}
-	default:
-		fmt.Fprintf(stderr, "ellegen: unknown fault campaign %q\n", *faults)
+	plan, err := faultPlan(*faults)
+	if err != nil {
+		fmt.Fprintf(stderr, "ellegen: -faults: %v\n", err)
 		return 2
 	}
+	if *abort > 0 {
+		plan.AbortProb = *abort
+	}
+	if *infoProb > 0 {
+		plan.InfoProb = *infoProb
+	}
+	plan.Timestamps = plan.Timestamps || *timestamps
 
 	g := gen.New(gen.Config{
 		Workload: info.Gen, ActiveKeys: *keys, MaxWritesPerKey: *width,
 	}, *seed)
 	h := memdb.Run(memdb.RunConfig{
-		Clients: *clients, Txns: *txns, Isolation: level, Faults: f,
+		Clients: *clients, Txns: *txns, Isolation: level, Faults: plan.Faults,
 		Source: g, Seed: *seed, Workload: info.DB,
-		AbortProb: *abort, InfoProb: *infoProb, ExposeTimestamps: *timestamps,
+		AbortProb: plan.AbortProb, InfoProb: plan.InfoProb, CrashProb: plan.CrashProb,
+		ClockSkewProb: plan.ClockSkewProb, ClockSkewMax: plan.ClockSkewMax,
+		ExposeTimestamps: plan.Timestamps,
 	})
 
 	w := stdout
@@ -153,4 +154,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ellegen: wrote %d ops (%d transactions, %s, %s, faults=%s)\n",
 		h.Len(), *txns, info.Name, level, *faults)
 	return 0
+}
+
+// faultPlan resolves -faults: none, a campaign name (expanding to that
+// campaign's faults), or a comma-separated list of catalog faults.
+func faultPlan(spec string) (nemesis.Plan, error) {
+	if spec == "none" || spec == "" {
+		return nemesis.Plan{}, nil
+	}
+	if c, ok := nemesis.Find(spec); ok {
+		return nemesis.NewPlan(c.Faults)
+	}
+	return nemesis.NewPlan(strings.Split(spec, ","))
 }

@@ -53,7 +53,10 @@ func TestGenerateToFile(t *testing.T) {
 }
 
 func TestFaultCampaignsAccepted(t *testing.T) {
-	for _, f := range []string{"none", "tidb", "yugabyte", "fauna", "dgraph", "retry", "stale", "nilreads", "dup"} {
+	for _, f := range []string{
+		"none", "tidb", "yugabyte", "fauna", "dgraph",
+		"stale-read", "nil-read", "dup-delta", "stale-read,abort",
+	} {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-txns", "10", "-faults", f}, &out, &errb); code != 0 {
 			t.Errorf("faults=%s: exit %d", f, code)
@@ -141,6 +144,7 @@ func TestBadArguments(t *testing.T) {
 		{"-workload", "bogus"},
 		{"-iso", "bogus"},
 		{"-faults", "bogus"},
+		{"-faults", "stale-read,bogus"},
 		{"-format", "yaml"},
 		{"-o", "/nonexistent/dir/x.jsonl", "-txns", "5"},
 	}

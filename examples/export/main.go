@@ -19,16 +19,22 @@ import (
 	"repro/internal/gen"
 	"repro/internal/jsonhist"
 	"repro/internal/memdb"
+	"repro/internal/nemesis"
 )
 
 func main() {
 	// Record: a snapshot-isolated run with TiDB-style retries.
+	plan, err := nemesis.NewPlan([]string{"retry-stomp", "retry-rebase"})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faults:", err)
+		os.Exit(1)
+	}
 	g := gen.New(gen.Config{ActiveKeys: 4, MaxWritesPerKey: 50}, 5)
 	h := memdb.Run(memdb.RunConfig{
 		Clients:   8,
 		Txns:      1000,
 		Isolation: memdb.SnapshotIsolation,
-		Faults:    memdb.Faults{RetryStompProb: 0.4, RetryRebaseProb: 1},
+		Faults:    plan.Faults,
 		Source:    g,
 		Seed:      5,
 	})

@@ -22,9 +22,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/memdb"
+	"repro/internal/nemesis"
 )
 
 func main() {
+	plan, err := nemesis.NewPlan([]string{"nil-read"})
+	if err != nil {
+		panic(err)
+	}
 	g := gen.New(gen.Config{
 		Workload:        gen.Register,
 		ActiveKeys:      5,
@@ -36,7 +41,7 @@ func main() {
 		Clients:   10,
 		Txns:      1500,
 		Isolation: memdb.SnapshotIsolation,
-		Faults:    memdb.Faults{NilReadProb: 0.08},
+		Faults:    plan.Faults,
 		Source:    g,
 		Seed:      11,
 		Register:  true,

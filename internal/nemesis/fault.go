@@ -78,7 +78,7 @@ var faults = []Fault{
 	{
 		Name:  "retry-stomp",
 		Doc:   "a conflicting commit re-applies its writes from the stale snapshot",
-		Apply: func(p *Plan) { p.Faults.RetryStompProb = 0.5 },
+		Apply: func(p *Plan) { p.Faults.RetryStompProb = 0.4 },
 	},
 	{
 		Name:  "retry-rebase",

@@ -14,6 +14,11 @@
 //     planted anomaly class, and nothing outside the classes that
 //     fault legitimately produces.
 //
+// The paper's §7 case studies (TiDB, YugaByte, Fauna, Dgraph) are
+// campaigns in the same table: each pairs the database's claimed model
+// with the faults that reproduce its client-visible bug, and expects the
+// anomaly families the paper reports Elle finding there.
+//
 // Campaigns are deterministic end to end: the same campaign at the same
 // seed produces the same history, the same anomalies, and a
 // byte-identical verdict JSON, at every parallelism, batch or stream.
@@ -21,6 +26,7 @@ package nemesis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/anomaly"
@@ -62,6 +68,10 @@ type Campaign struct {
 	// NoReadAfterWrite shapes the workload so transactions never read a
 	// key they already wrote.
 	NoReadAfterWrite bool
+	// LinearizableKeys checks with per-key real-time version inference,
+	// for databases that claim per-key linearizability on top of a
+	// weaker model (Dgraph, §7.4).
+	LinearizableKeys bool
 	// Clients and Txns override the run size; 0 means the Config's.
 	Clients, Txns int
 }
@@ -121,6 +131,10 @@ type Verdict struct {
 	// (for ExpectClean campaigns: everything found).
 	Unexpected []anomaly.Class `json:"unexpected,omitempty"`
 	Pass       bool            `json:"pass"`
+	// Check is the full check result behind the verdict, for callers
+	// that render explanations or inspect witnesses. It is not part of
+	// the verdict's encoding.
+	Check *core.CheckResult `json:"-"`
 }
 
 // Run executes one campaign under one seed and evaluates its verdict.
@@ -171,6 +185,11 @@ func Run(c Campaign, cfg Config) (*Verdict, error) {
 	opts.Parallelism = cfg.Parallelism
 	opts.MemoryBudget = cfg.MemoryBudget
 	opts.TimestampEdges = plan.Timestamps
+	// Lost-update detection leans on real-time knowledge, which
+	// OptsFor grants only to strict models; a campaign that expects the
+	// class asks for it explicitly, as the paper does for TiDB (§7.1).
+	opts.DetectLostUpdates = opts.DetectLostUpdates || slices.Contains(c.Expect, anomaly.LostUpdate)
+	opts.LinearizableKeys = opts.LinearizableKeys || c.LinearizableKeys
 
 	var res *core.CheckResult
 	if cfg.Stream {
@@ -208,6 +227,7 @@ func Run(c Campaign, cfg Config) (*Verdict, error) {
 		Expect:      sortedClasses(c.Expect),
 		ExpectAny:   sortedClasses(c.ExpectAny),
 		Allow:       sortedClasses(c.Allow),
+		Check:       res,
 	}
 	sort.Strings(v.Faults)
 
@@ -274,11 +294,11 @@ func sortedClasses(in []anomaly.Class) []anomaly.Class {
 
 // Campaigns returns the full campaign table: one clean soundness
 // campaign per registered workload, then the planted-bug completeness
-// campaigns. The table is the executable statement of what the checker
-// must and must not report; TestCampaignSoundness and
-// TestCampaignCompleteness run it across seeds, parallelism, and
-// batch/stream modes, and the CI campaign-smoke job runs it through the
-// ellecase binary.
+// campaigns, then the paper's §7 case studies. The table is the
+// executable statement of what the checker must and must not report;
+// TestCampaignSoundness and TestCampaignCompleteness run it across
+// seeds, parallelism, and batch/stream modes, and the CI campaign-smoke
+// job runs it through the ellecase binary.
 func Campaigns() []Campaign {
 	var out []Campaign
 	// Soundness: a clean strict-serializable engine must check clean
@@ -396,6 +416,57 @@ func Campaigns() []Campaign {
 			Model:       consistency.StrictSerializable,
 			Faults:      []string{"crash-restart"},
 			ExpectClean: true,
+		},
+		// The §7 case studies: each claimed model must be refuted by
+		// exactly the anomaly families the paper reports.
+		Campaign{
+			Name:      "tidb",
+			Doc:       "§7.1 TiDB: SI with automatic retry-on-conflict: read skew, lost updates, incompatible orders",
+			Workload:  workload.ListAppend,
+			Isolation: memdb.SnapshotIsolation,
+			Model:     consistency.SnapshotIsolation,
+			Faults:    []string{"retry-stomp", "retry-rebase"},
+			Expect: []anomaly.Class{
+				anomaly.GSingle, anomaly.LostUpdate, anomaly.IncompatibleOrder,
+			},
+			// A stomped retry's stale writes also close cycles with
+			// more than one anti-dependency.
+			Allow: []anomaly.Class{anomaly.G2Item},
+		},
+		Campaign{
+			Name:      "yugabyte",
+			Doc:       "§7.2 YugaByte: serializable reads from stale timestamps: G2 with multiple anti-dependencies only",
+			Workload:  workload.ListAppend,
+			Isolation: memdb.Serializable,
+			Model:     consistency.Serializable,
+			Faults:    []string{"skip-read-validation"},
+			// The paper saw no G-single, G1 or G0; the closed-world
+			// check fails the run if any appears.
+			Expect: []anomaly.Class{anomaly.G2Item},
+		},
+		Campaign{
+			Name:      "fauna",
+			Doc:       "§7.3 Fauna: strict-serializable reads miss the transaction's own writes: internal inconsistencies",
+			Workload:  workload.ListAppend,
+			Isolation: memdb.StrictSerializable,
+			Model:     consistency.StrictSerializable,
+			Faults:    []string{"skip-own-write"},
+			Expect:    []anomaly.Class{anomaly.Internal},
+		},
+		Campaign{
+			Name:      "dgraph",
+			Doc:       "§7.4 Dgraph: SI register reads return nil after shard migration: internal, cyclic version orders, read skew",
+			Workload:  workload.RWRegister,
+			Isolation: memdb.SnapshotIsolation,
+			Model:     consistency.SnapshotIsolation,
+			Faults:    []string{"nil-read"},
+			Expect: []anomaly.Class{
+				anomaly.Internal, anomaly.CyclicVersionOrder, anomaly.GSingle,
+			},
+			// Nil reads pin anti-dependencies to arbitrary writers,
+			// closing G2 cycles beside the G-single ones.
+			Allow:            []anomaly.Class{anomaly.G2Item},
+			LinearizableKeys: true,
 		},
 	)
 	return out

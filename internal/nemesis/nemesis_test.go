@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/anomaly"
 	"repro/internal/consistency"
+	"repro/internal/graph"
 	"repro/internal/memdb"
 	"repro/internal/nemesis"
 	"repro/internal/workload"
@@ -68,6 +69,8 @@ func TestCampaignsWellFormed(t *testing.T) {
 	mustPlant := []anomaly.Class{
 		anomaly.G1a, anomaly.GSingle, anomaly.LostUpdate,
 		anomaly.TotalMismatch, anomaly.KAtomicViolation,
+		anomaly.IncompatibleOrder, anomaly.G2Item, anomaly.Internal,
+		anomaly.CyclicVersionOrder,
 	}
 	planted := map[anomaly.Class]bool{}
 	for _, c := range nemesis.Campaigns() {
@@ -149,7 +152,7 @@ func TestCampaignCompleteness(t *testing.T) {
 // parallelism, and memory budget may not change a single byte beyond
 // the mode flag itself.
 func TestVerdictDeterminism(t *testing.T) {
-	for _, name := range []string{"clean-list-append", "g1a", "k-atomicity", "clock-skew"} {
+	for _, name := range []string{"clean-list-append", "g1a", "k-atomicity", "clock-skew", "tidb", "dgraph"} {
 		c, ok := nemesis.Find(name)
 		if !ok {
 			t.Fatalf("campaign %q missing", name)
@@ -187,6 +190,72 @@ func TestVerdictDeterminism(t *testing.T) {
 	}
 }
 
+// TestCaseStudies: each §7 campaign reproduces its paper section at a
+// second size and seed, and what it finds refutes the model the
+// database claimed.
+func TestCaseStudies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64
+		txns int
+	}{
+		{"tidb", 1, 1500},
+		{"yugabyte", 3, 1500},
+		{"fauna", 2, 1200},
+		{"dgraph", 2, 1500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, ok := nemesis.Find(tc.name)
+			if !ok {
+				t.Fatalf("campaign %q missing", tc.name)
+			}
+			v, err := nemesis.Run(c, nemesis.Config{Seed: tc.seed, Txns: tc.txns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Pass {
+				t.Fatalf("not reproduced: missing %v, unexpected %v (found %v)",
+					v.Missing, v.Unexpected, v.Found)
+			}
+			var types []anomaly.Class
+			for _, f := range v.Found {
+				types = append(types, f.Class)
+			}
+			if consistency.Holds(c.Model, types) {
+				t.Errorf("found %v without refuting the claimed %s", types, c.Model)
+			}
+			if tc.name != "yugabyte" {
+				return
+			}
+			// The paper: every YugaByte cycle involved multiple
+			// anti-dependencies.
+			for _, a := range v.Check.Anomalies {
+				if a.Type == anomaly.G2Item && len(a.Cycle.Steps) > 0 {
+					if rw := a.Cycle.CountVia(graph.RW); rw < 2 {
+						t.Errorf("G2-item witness with %d rw edges; expected ≥ 2", rw)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultConfigApplied: a zero Config runs the documented default
+// size rather than nothing.
+func TestDefaultConfigApplied(t *testing.T) {
+	c, _ := nemesis.Find("fauna")
+	v, err := nemesis.Run(c, nemesis.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Clients != 10 || v.Txns != 1000 {
+		t.Errorf("zero config ran %d clients × %d txns, want 10 × 1000", v.Clients, v.Txns)
+	}
+	if got := len(v.Check.Anomalies); got == 0 {
+		t.Error("zero config found nothing")
+	}
+}
+
 // TestSeedChangesHistory: different seeds genuinely produce different
 // runs (guards against a seed being ignored somewhere in the pipeline).
 func TestSeedChangesHistory(t *testing.T) {
@@ -200,6 +269,7 @@ func TestSeedChangesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1.Seed = v2.Seed
+	v1.Check, v2.Check = nil, nil
 	if reflect.DeepEqual(v1, v2) {
 		t.Fatal("seeds 1 and 2 produced identical verdicts")
 	}
