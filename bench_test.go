@@ -317,25 +317,25 @@ func BenchmarkAblationCycleSearch(b *testing.B) {
 		Source: g, Seed: 3,
 	})
 	res := core.Check(h, core.OptsFor(core.ListAppend, consistency.SnapshotIsolation))
-	dep := res.Graph
+	dep := res.Graph.Freeze()
 	b.Run("G0-ww-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dep.FindCycles(graph.KSWW)
+			dep.FindCycles(graph.KSWW, 1)
 		}
 	})
 	b.Run("G1c-ww-wr", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dep.FindCycles(graph.KSWWWR)
+			dep.FindCycles(graph.KSWWWR, 1)
 		}
 	})
 	b.Run("G-single-one-rw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dep.FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR)
+			dep.FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR, 1)
 		}
 	})
 	b.Run("G2-at-least-one-rw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dep.FindCyclesWithAtLeastOne(graph.RW, graph.KSDep)
+			dep.FindCyclesWithAtLeastOne(graph.RW, graph.KSDep, 1)
 		}
 	})
 }
@@ -358,10 +358,10 @@ func BenchmarkAblationRealtimeReduction(b *testing.B) {
 func BenchmarkAblationTarjan(b *testing.B) {
 	h := perf.GenerateHistory(50000, 20, 1)
 	res := core.Check(h, core.OptsFor(core.ListAppend, consistency.StrictSerializable))
-	g := res.Graph
+	fz := res.Graph.Freeze()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.SCCs(graph.KSDep | graph.KSOrders)
+		fz.SCCs(graph.KSDep | graph.KSOrders)
 	}
 }
 

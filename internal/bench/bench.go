@@ -288,10 +288,10 @@ func Cases() []Case {
 		}},
 		{Name: "tarjan/n=100000", F: func(b *testing.B) {
 			res := core.Check(listHistory(), checkOpts(core.ListAppend))
-			g := res.Graph
+			fz := res.Graph.Freeze()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.SCCs(graph.KSDep | graph.KSOrders)
+				fz.SCCs(graph.KSDep | graph.KSOrders)
 			}
 		}},
 	}

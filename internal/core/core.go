@@ -302,7 +302,7 @@ func classify(h *history.History, opts Opts, an workload.Analysis, orders *order
 		extra |= graph.Timestamp.Mask()
 	}
 
-	cycles := g.AnomalousCycles(extra, p)
+	cycles, sccs := g.Freeze().AnomalousCycles(extra, p)
 	anoms = append(anoms, par.Map(p, len(cycles), func(i int) anomaly.Anomaly {
 		c := cycles[i]
 		return anomaly.Anomaly{
@@ -330,7 +330,7 @@ func classify(h *history.History, opts Opts, an workload.Analysis, orders *order
 			Ops:       len(h.Completions()),
 			Nodes:     g.NumNodes(),
 			Edges:     g.NumEdges(),
-			SCCs:      len(g.SCCs(graph.KSDep | extra)),
+			SCCs:      sccs,
 			ExtraKind: extra,
 		},
 	}

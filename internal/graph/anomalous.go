@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,47 +16,70 @@ import (
 // in every search; anomaly classification downgrades cycles that need
 // them to the -process / -realtime / -timestamp variants.
 //
-// The four searches are independent reads of the finished graph, so
-// they run concurrently (each additionally fanning out per SCC);
-// deduplication walks the results in fixed search order, keeping the
-// report identical at every parallelism level. The worker budget is
-// split across the two levels — outer searches × inner per-SCC workers
-// <= p — so the search never runs more goroutines than p allows.
+// Each distinct search mask gets one Tarjan pass: G-single and G2 both
+// search the components of ww|wr|rw plus extra, so three passes cover
+// the four searches. depSCCs is the number of those ww|wr|rw components
+// of size ≥ 2 — the count a report's Stats carries — read from the same
+// pass.
+//
+// The passes, and then the four searches, are independent reads of the
+// frozen graph, so they run concurrently (each search additionally
+// fanning out per component); deduplication walks the results in fixed
+// search order, keeping the report identical at every parallelism
+// level. The worker budget is split across the two levels — outer
+// searches × inner per-component workers <= p — so the search never
+// runs more goroutines than p allows.
 //
 // Both the batch checker and the streaming sessions call this: the
 // batch path over the whole graph, the streaming path over the induced
 // subgraph of the components a chunk dirtied.
-func (g *Graph) AnomalousCycles(extra KindSet, p int) []Cycle {
+func (f *Frozen) AnomalousCycles(extra KindSet, p int) (cycles []Cycle, depSCCs int) {
 	budget := par.Procs(p)
-	outer := budget
-	if outer > 4 {
-		outer = 4
+	outer := min(budget, 4)
+	inner := max(budget/outer, 1)
+	searches := []search{
+		plainSearch(KSWW | extra),
+		plainSearch(KSWWWR | extra),
+		exactlyOneSearch(RW, KSWWWR|extra),
+		atLeastOneSearch(RW, KSDep|extra),
 	}
-	inner := budget / outer
-	if inner < 1 {
-		inner = 1
+	var masks []KindSet
+	for _, s := range searches {
+		if !slices.Contains(masks, s.mask) {
+			masks = append(masks, s.mask)
+		}
 	}
-	searches := []func() []Cycle{
-		func() []Cycle { return g.FindCyclesP(KSWW|extra, inner) },
-		func() []Cycle { return g.FindCyclesP(KSWWWR|extra, inner) },
-		func() []Cycle { return g.FindCyclesWithExactlyOneP(RW, KSWWWR|extra, inner) },
-		func() []Cycle { return g.FindCyclesWithAtLeastOneP(RW, KSDep|extra, inner) },
-	}
-	found := par.Map(outer, len(searches), func(i int) []Cycle { return searches[i]() })
+	passes := par.Map(outer, len(masks), func(i int) [][]int32 { return f.components(masks[i]) })
+	compsOf := func(mask KindSet) [][]int32 { return passes[slices.Index(masks, mask)] }
+	found := par.Map(outer, len(searches), func(i int) []Cycle {
+		return f.perComponent(compsOf(searches[i].mask), searches[i], inner)
+	})
 
 	seen := map[cycleSig]bool{}
-	var out []Cycle
 	for _, cs := range found {
 		for _, c := range cs {
 			sig := sigOf(c)
 			if !seen[sig] {
 				seen[sig] = true
-				out = append(out, c)
+				cycles = append(cycles, c)
 			}
 		}
 	}
-	return out
+	return cycles, len(compsOf(KSDep | extra))
 }
+
+// AnomalousCycles is g.Freeze().AnomalousCycles without the component
+// count. It stays only because the benchmark's traced pipeline
+// (e2ebench/trace.go) calls it; the checker itself freezes once and
+// searches the Frozen.
+func (g *Graph) AnomalousCycles(extra KindSet, p int) []Cycle {
+	cycles, _ := g.Freeze().AnomalousCycles(extra, p)
+	return cycles
+}
+
+// SCCs is g.Freeze().SCCs. It stays only because the benchmark's traced
+// pipeline (e2ebench/trace.go) calls it.
+func (g *Graph) SCCs(mask KindSet) [][]int { return g.Freeze().SCCs(mask) }
 
 // cycleSig is a comparable canonical signature of a cycle's node set:
 // the sorted nodes inline for cycles of up to eight steps, the string

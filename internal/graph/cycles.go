@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/par"
@@ -88,172 +88,197 @@ func itoa(n int) string {
 // search from that component's smallest node. This implements the plain
 // cycle searches of §6 (G0 with mask=ww; G1c with mask=ww|wr; G2 candidates
 // with the full mask).
-func (g *Graph) FindCycles(mask KindSet) []Cycle {
-	return g.FindCyclesP(mask, 1)
-}
-
-// FindCyclesP is FindCycles with the per-SCC searches fanned out across p
-// workers (p <= 0 meaning one per CPU). Components are independent, so
-// each search runs in isolation; results are collected in sorted-SCC
-// order, making the output identical at every parallelism level.
-func (g *Graph) FindCyclesP(mask KindSet, p int) []Cycle {
-	sccs := g.sortedSCCs(mask)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		c, ok := g.bfsCycle(scc[0], scc[0], mask, memberSet(scc), Step{})
-		return foundCycle{c, ok}
-	}))
-}
-
-// foundCycle is one per-SCC search outcome; gatherCycles keeps the hits
-// in component order.
-type foundCycle struct {
-	c  Cycle
-	ok bool
-}
-
-func gatherCycles(found []foundCycle) []Cycle {
-	var out []Cycle
-	for _, f := range found {
-		if f.ok {
-			out = append(out, f.c)
-		}
-	}
-	return out
+//
+// The per-component searches fan out across p workers (p <= 0 meaning
+// one per CPU). Components are independent, so each search runs in
+// isolation; results are collected in component order, making the
+// output identical at every parallelism level.
+func (f *Frozen) FindCycles(mask KindSet, p int) []Cycle {
+	s := plainSearch(mask)
+	return f.perComponent(f.components(s.mask), s, p)
 }
 
 // FindCyclesWithExactlyOne returns, per SCC, a cycle containing exactly one
 // edge traversed via kind one, with every other step traversed via rest.
 // This is the paper's G-single search: partition the graph, follow exactly
 // one read-write edge, then complete the cycle using only write-write and
-// write-read edges.
-func (g *Graph) FindCyclesWithExactlyOne(one Kind, rest KindSet) []Cycle {
-	return g.FindCyclesWithExactlyOneP(one, rest, 1)
+// write-read edges. Per-component searches fan out as in FindCycles.
+func (f *Frozen) FindCyclesWithExactlyOne(one Kind, rest KindSet, p int) []Cycle {
+	s := exactlyOneSearch(one, rest)
+	return f.perComponent(f.components(s.mask), s, p)
 }
 
-// FindCyclesWithExactlyOneP is FindCyclesWithExactlyOne with per-SCC
-// searches fanned out across p workers; see FindCyclesP.
-func (g *Graph) FindCyclesWithExactlyOneP(one Kind, rest KindSet, p int) []Cycle {
-	full := one.Mask() | rest
-	sccs := g.sortedSCCs(full)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		c, ok := g.cycleWithOne(scc, memberSet(scc), one, rest)
-		return foundCycle{c, ok}
-	}))
+// FindCyclesWithAtLeastOne returns, per SCC of the masked graph, a cycle
+// containing at least one edge of kind req (the G2 search: one or more
+// anti-dependency edges, with any other dependencies completing the
+// cycle). Per-component searches fan out as in FindCycles.
+func (f *Frozen) FindCyclesWithAtLeastOne(req Kind, mask KindSet, p int) []Cycle {
+	s := atLeastOneSearch(req, mask)
+	return f.perComponent(f.components(s.mask), s, p)
 }
 
-func (g *Graph) cycleWithOne(scc []int, in map[int]bool, one Kind, rest KindSet) (Cycle, bool) {
-	for _, u := range scc {
-		var found Cycle
-		ok := false
-		g.OutSorted(u, one.Mask(), func(v int, label KindSet) {
-			if ok || !in[v] {
-				return
+// A search is one of the §6 cycle searches: the mask whose components
+// it examines, and the witness search run inside each component.
+type search struct {
+	mask KindSet
+	find func(*sccSearch) (Cycle, bool)
+}
+
+// plainSearch closes a shortest loop through the component's smallest
+// node.
+func plainSearch(mask KindSet) search {
+	return search{mask, func(s *sccSearch) (Cycle, bool) { return s.bfs(0, 0, mask, nil) }}
+}
+
+// exactlyOneSearch takes one edge of kind one and closes the cycle
+// over rest alone.
+func exactlyOneSearch(one Kind, rest KindSet) search {
+	return search{one.Mask() | rest, func(s *sccSearch) (Cycle, bool) { return s.through(one, rest) }}
+}
+
+// atLeastOneSearch takes one edge of kind req and closes the cycle over
+// any edge of the full mask, req included.
+func atLeastOneSearch(req Kind, mask KindSet) search {
+	full := req.Mask() | mask
+	return search{full, func(s *sccSearch) (Cycle, bool) { return s.through(req, full) }}
+}
+
+// perComponent runs s in every component of comps (s.mask's SCCs)
+// across p workers, keeping the hits in component order.
+func (f *Frozen) perComponent(comps [][]int32, s search, p int) []Cycle {
+	found := par.Map(p, len(comps), func(i int) Cycle {
+		c, _ := s.find(f.newSCCSearch(comps[i]))
+		return c
+	})
+	var out []Cycle
+	for _, c := range found {
+		if len(c.Steps) > 0 { // a miss is the empty cycle
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// sccSearch is the scratch of the searches inside one component, sized
+// to the component, not the graph: membership is a binary search of the
+// sorted member rows, and visited/parent are indexed by member position.
+// One component's searches share it, resetting only what they touched.
+type sccSearch struct {
+	f       *Frozen
+	members []int32 // ascending row indices
+	visited []bool
+	parent  []cameFrom
+	queue   []int32
+}
+
+// cameFrom records the BFS tree edge into a member.
+type cameFrom struct {
+	prev int32 // member position
+	lab  KindSet
+	via  Kind
+}
+
+func (f *Frozen) newSCCSearch(members []int32) *sccSearch {
+	return &sccSearch{
+		f:       f,
+		members: members,
+		visited: make([]bool, len(members)),
+		parent:  make([]cameFrom, len(members)),
+	}
+}
+
+// position returns row's member position, or -1 outside the component.
+func (s *sccSearch) position(row int32) int32 {
+	i, ok := slices.BinarySearch(s.members, row)
+	if !ok {
+		return -1
+	}
+	return int32(i)
+}
+
+// node returns the external id of the member at position i.
+func (s *sccSearch) node(i int32) int { return s.f.nodes[s.members[i]] }
+
+// through returns the first cycle, scanning members and then their
+// k-edges in ascending order, that leaves a member over a k-edge and
+// returns to it over edges intersecting rest.
+func (s *sccSearch) through(k Kind, rest KindSet) (Cycle, bool) {
+	f := s.f
+	for u := range s.members {
+		row := s.members[u]
+		for e := f.rowStart[row]; e < f.rowStart[row+1]; e++ {
+			if !f.ks[e].Has(k) {
+				continue
 			}
-			first := Step{From: u, To: v, Label: label, Via: one}
-			if v == u {
-				return // self-edges are never stored, but be safe
+			v := s.position(f.to[e])
+			if v < 0 {
+				continue
 			}
-			if c, hit := g.bfsCycle(v, u, rest, in, first); hit {
-				found, ok = c, true
+			first := Step{From: s.node(int32(u)), To: s.node(v), Label: f.ks[e], Via: k}
+			if c, ok := s.bfs(v, int32(u), rest, []Step{first}); ok {
+				return c, true
 			}
-		})
-		if ok {
-			return found, true
 		}
 	}
 	return Cycle{}, false
 }
 
-// FindCyclesWithAtLeastOne returns, per SCC of the masked graph, a cycle
-// containing at least one edge of kind req (the G2 search: one or more
-// anti-dependency edges, with any other dependencies completing the cycle).
-func (g *Graph) FindCyclesWithAtLeastOne(req Kind, mask KindSet) []Cycle {
-	return g.FindCyclesWithAtLeastOneP(req, mask, 1)
-}
-
-// FindCyclesWithAtLeastOneP is FindCyclesWithAtLeastOne with per-SCC
-// searches fanned out across p workers; see FindCyclesP.
-func (g *Graph) FindCyclesWithAtLeastOneP(req Kind, mask KindSet, p int) []Cycle {
-	full := req.Mask() | mask
-	sccs := g.sortedSCCs(full)
-	return gatherCycles(par.Map(p, len(sccs), func(i int) foundCycle {
-		scc := sccs[i]
-		in := memberSet(scc)
-		var out foundCycle
-		for _, u := range scc {
-			if out.ok {
-				break
-			}
-			g.OutSorted(u, req.Mask(), func(v int, label KindSet) {
-				if out.ok || !in[v] {
-					return
-				}
-				first := Step{From: u, To: v, Label: label, Via: req}
-				if c, hit := g.bfsCycle(v, u, full, in, first); hit {
-					out = foundCycle{c, true}
-				}
-			})
-		}
-		return out
-	}))
-}
-
-// bfsCycle finds a shortest path from start to goal using edges
-// intersecting mask and restricted to nodes in the member set, then closes
-// it into a cycle. If prefix is a non-zero Step, it is prepended (its From
-// must be goal and its To must be start). When start == goal the search
-// looks for a non-trivial loop back to goal.
-func (g *Graph) bfsCycle(start, goal int, mask KindSet, in map[int]bool, prefix Step) (Cycle, bool) {
-	type cameFrom struct {
-		prev int
-		via  Kind
-		lab  KindSet
-	}
-	parent := map[int]cameFrom{}
-	queue := []int{start}
-	visited := map[int]bool{start: true}
+// bfs finds a shortest path from member start to member goal using edges
+// intersecting mask, then closes it into a cycle after the prefix steps
+// (whose last step must end at start). When start == goal the search
+// looks for a non-trivial loop back to goal. Neighbors are visited in
+// row order, i.e. ascending external id.
+func (s *sccSearch) bfs(start, goal int32, mask KindSet, prefix []Step) (Cycle, bool) {
+	f := s.f
+	s.queue = append(s.queue[:0], start)
+	s.visited[start] = true
 	reached := false
-	for len(queue) > 0 && !reached {
-		u := queue[0]
-		queue = queue[1:]
-		g.OutSorted(u, mask, func(v int, label KindSet) {
-			if reached || !in[v] {
-				return
+	for head := 0; head < len(s.queue) && !reached; head++ {
+		u := s.queue[head]
+		row := s.members[u]
+		for e := f.rowStart[row]; e < f.rowStart[row+1]; e++ {
+			label := f.ks[e]
+			if !label.Intersects(mask) {
+				continue
+			}
+			v := s.position(f.to[e])
+			if v < 0 {
+				continue
 			}
 			if v == goal {
-				parent[goal] = cameFrom{prev: u, via: firstKind(label, mask), lab: label}
+				s.parent[goal] = cameFrom{prev: u, lab: label, via: firstKind(label, mask)}
 				reached = true
-				return
+				break
 			}
-			if !visited[v] {
-				visited[v] = true
-				parent[v] = cameFrom{prev: u, via: firstKind(label, mask), lab: label}
-				queue = append(queue, v)
+			if !s.visited[v] {
+				s.visited[v] = true
+				s.parent[v] = cameFrom{prev: u, lab: label, via: firstKind(label, mask)}
+				s.queue = append(s.queue, v)
 			}
-		})
+		}
+	}
+	for _, v := range s.queue {
+		s.visited[v] = false
 	}
 	if !reached {
 		return Cycle{}, false
 	}
-	// Reconstruct goal <- ... <- start.
-	var rev []Step
-	at := goal
-	for {
-		cf := parent[at]
-		rev = append(rev, Step{From: cf.prev, To: at, Label: cf.lab, Via: cf.via})
-		at = cf.prev
-		if at == start {
+	// Walk goal <- ... <- start twice: once to size the cycle, once to
+	// fill it back to front.
+	hops := 0
+	for at := goal; ; {
+		hops++
+		if at = s.parent[at].prev; at == start {
 			break
 		}
 	}
-	steps := make([]Step, 0, len(rev)+1)
-	if prefix.From != prefix.To || prefix.Label != 0 {
-		steps = append(steps, prefix)
-	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		steps = append(steps, rev[i])
+	steps := make([]Step, len(prefix)+hops)
+	copy(steps, prefix)
+	at := goal
+	for i := len(steps) - 1; i >= len(prefix); i-- {
+		cf := s.parent[at]
+		steps[i] = Step{From: s.node(cf.prev), To: s.node(at), Label: cf.lab, Via: cf.via}
+		at = cf.prev
 	}
 	return Cycle{Steps: steps}, true
 }
@@ -268,21 +293,4 @@ func firstKind(label, mask KindSet) Kind {
 		}
 	}
 	return 0
-}
-
-func (g *Graph) sortedSCCs(mask KindSet) [][]int {
-	sccs := g.SCCs(mask)
-	for _, scc := range sccs {
-		sort.Ints(scc)
-	}
-	sort.Slice(sccs, func(i, j int) bool { return sccs[i][0] < sccs[j][0] })
-	return sccs
-}
-
-func memberSet(nodes []int) map[int]bool {
-	in := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		in[n] = true
-	}
-	return in
 }

@@ -1,35 +1,51 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 )
 
-// A Frozen is an immutable compressed-sparse-row snapshot of a settled
-// region of a dependency graph. Once a streaming session determines a
-// set of transactions can no longer gain edges (their keys retired, no
-// open spans can reach them), Incr.Retire condenses their induced
-// subgraph into a Frozen: node ids in one sorted array, adjacency in
-// CSR rows with columns ascending, every edge carrying its KindSet.
-// No further inserts are possible, so cycle-search results over the
-// region are memoized per edge-kind mask, and the whole structure
-// serializes to a compact varint form (Encode / DecodeFrozen) suitable
-// for the same spill machinery retired history segments use.
+// A Frozen is an immutable compressed-sparse-row snapshot of a
+// dependency graph: node ids in one sorted array, adjacency in CSR rows
+// with columns ascending, every edge carrying its KindSet. It is the
+// form every cycle search runs over (Tarjan and the §6 BFS searches, in
+// tarjan.go and cycles.go); Graph is only the mutable builder. Because
+// rows are in ascending external-id order, a search that walks a row
+// visits neighbors in the deterministic order reports depend on.
+//
+// The batch checker freezes the whole merged graph once (Graph.Freeze);
+// a streaming session freezes the induced subgraph of the components a
+// chunk dirtied (NewFrozen), and Incr.Retire condenses a settled region
+// into one. The structure serializes to a compact varint form (Encode /
+// DecodeFrozen) suitable for the same spill machinery retired history
+// segments use.
 type Frozen struct {
 	nodes    []int     // sorted external node ids
 	rowStart []int32   // rowStart[i]..rowStart[i+1] index to/ks for node i
 	to       []int32   // column: index into nodes
 	ks       []KindSet // edge labels, parallel to to
+}
 
-	mu   sync.Mutex
-	memo map[KindSet][]Cycle
+// Freeze snapshots the whole graph. g is not modified or retained.
+func (g *Graph) Freeze() *Frozen {
+	rows := make([]int32, len(g.nodes)) // dense ids in external-id order
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, func(a, b int32) int { return cmp.Compare(g.nodes[a], g.nodes[b]) })
+	col := make([]int32, len(g.nodes))
+	for c, d := range rows {
+		col[d] = int32(c)
+	}
+	return g.freeze(rows, g.edges, func(d int32) int32 { return col[d] })
 }
 
 // NewFrozen snapshots the subgraph of g induced by nodes. Ids absent
-// from g are ignored; duplicates collapse. The input graph is not
-// modified or retained.
+// from g are ignored; duplicates collapse. The cost is O(edges incident
+// to nodes), not O(graph). The input graph is not modified or retained.
 func NewFrozen(g *Graph, nodes []int) *Frozen {
 	sorted := make([]int, 0, len(nodes))
 	for _, n := range nodes {
@@ -37,47 +53,53 @@ func NewFrozen(g *Graph, nodes []int) *Frozen {
 			sorted = append(sorted, n)
 		}
 	}
-	sort.Ints(sorted)
-	sorted = compactInts(sorted)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 
-	col := make(map[int]int32, len(sorted))
+	rows := make([]int32, len(sorted))
+	col := make(map[int32]int32, len(sorted)) // dense id -> column
 	for i, n := range sorted {
-		col[n] = int32(i)
+		rows[i] = g.ids[n]
+		col[rows[i]] = int32(i)
 	}
+	return g.freeze(rows, 0, func(d int32) int32 {
+		if c, ok := col[d]; ok {
+			return c
+		}
+		return -1
+	})
+}
+
+// freeze builds the Frozen whose i-th row is dense node rows[i], keeping
+// the edges whose target column colOf reports (-1 drops an edge). rows
+// must be in ascending external-id order; edges sizes the column arrays.
+func (g *Graph) freeze(rows []int32, edges int, colOf func(dense int32) int32) *Frozen {
 	f := &Frozen{
-		nodes:    sorted,
-		rowStart: make([]int32, len(sorted)+1),
+		nodes:    make([]int, len(rows)),
+		rowStart: make([]int32, len(rows)+1),
+		to:       make([]int32, 0, edges),
+		ks:       make([]KindSet, 0, edges),
 	}
-	for i, n := range sorted {
-		f.rowStart[i] = int32(len(f.to))
-		ai := g.ids[n]
+	var rs rowSorter
+	for i, d := range rows {
+		f.nodes[i] = g.nodes[d]
+		start := len(f.to)
+		f.rowStart[i] = int32(start)
 		// Adjacency is sorted by dense id (insertion order); re-sort the
 		// surviving entries by frozen column, i.e. by external id.
-		start := len(f.to)
-		for _, e := range g.adj[ai] {
-			if j, ok := col[g.nodes[e.to]]; ok {
-				f.to = append(f.to, j)
+		for _, e := range g.adj[d] {
+			if c := colOf(e.to); c >= 0 {
+				f.to = append(f.to, c)
 				f.ks = append(f.ks, e.ks)
 			}
 		}
-		sortRow(f.to[start:], f.ks[start:])
-	}
-	f.rowStart[len(sorted)] = int32(len(f.to))
-	return f
-}
-
-func compactInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+		if row := f.to[start:]; !slices.IsSorted(row) {
+			rs = rowSorter{row, f.ks[start:]}
+			sort.Sort(&rs)
 		}
 	}
-	return out
-}
-
-func sortRow(to []int32, ks []KindSet) {
-	sort.Sort(&rowSorter{to, ks})
+	f.rowStart[len(rows)] = int32(len(f.to))
+	return f
 }
 
 type rowSorter struct {
@@ -120,51 +142,12 @@ func (f *Frozen) Edges() []Edge {
 	return out
 }
 
-// graph materializes the frozen region as a mutable Graph for the cycle
-// searches. Nodes enter in sorted order, so dense ids are deterministic.
-func (f *Frozen) graph() *Graph {
-	g := New()
-	for _, n := range f.nodes {
-		g.Ensure(n)
-	}
-	for i, n := range f.nodes {
-		for p := f.rowStart[i]; p < f.rowStart[i+1]; p++ {
-			g.addMask(n, f.nodes[f.to[p]], f.ks[p])
-		}
-	}
-	return g
-}
-
-// Cycles runs AnomalousCycles over the frozen region with the given
-// extra-order mask, memoizing per mask: the region cannot change, so the
-// second query for a mask is a map lookup. Results are shared slices —
-// callers must not mutate them. Safe for concurrent use.
-func (f *Frozen) Cycles(extra KindSet, p int) []Cycle {
-	f.mu.Lock()
-	if cs, ok := f.memo[extra]; ok {
-		f.mu.Unlock()
-		return cs
-	}
-	f.mu.Unlock()
-	// Search outside the lock: concurrent first queries for the same mask
-	// duplicate work once, never block each other behind a long search.
-	cs := f.graph().AnomalousCycles(extra, p)
-	f.mu.Lock()
-	if f.memo == nil {
-		f.memo = map[KindSet][]Cycle{}
-	}
-	f.memo[extra] = cs
-	f.mu.Unlock()
-	return cs
-}
-
 // frozenMagic guards serialized Frozen segments: "Fz" plus a version.
 var frozenMagic = [3]byte{0xF5, 'z', 1}
 
 // Encode appends a compact varint serialization of f to dst: the sorted
 // node array delta-encoded, then each CSR row as a length followed by
-// delta-encoded columns with a label byte each. Memoized cycle results
-// are not serialized — they are derived data, recomputed on demand.
+// delta-encoded columns with a label byte each.
 func (f *Frozen) Encode(dst []byte) []byte {
 	dst = append(dst, frozenMagic[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(f.nodes)))
@@ -196,7 +179,12 @@ func (f *Frozen) Encode(dst []byte) []byte {
 }
 
 // DecodeFrozen parses one Encode result (exactly; trailing bytes are an
-// error so corrupted segment boundaries are caught, not skipped).
+// error so corrupted segment boundaries are caught, not skipped). Length
+// prefixes are bounded by the bytes that remain — a node costs at least
+// one byte and an edge at least two — so a corrupt count fails cleanly
+// instead of sizing an allocation. Node ids and row columns must be
+// strictly ascending, no row may hold a self-edge and every label must
+// name a kind: the invariants Encode writes and the searches rely on.
 func DecodeFrozen(b []byte) (*Frozen, error) {
 	if len(b) < len(frozenMagic) || b[0] != frozenMagic[0] || b[1] != frozenMagic[1] || b[2] != frozenMagic[2] {
 		return nil, fmt.Errorf("graph: frozen segment: bad magic")
@@ -214,6 +202,9 @@ func DecodeFrozen(b []byte) (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nn > uint64(len(b)) {
+		return nil, fmt.Errorf("graph: frozen segment: %d nodes in %d bytes", nn, len(b))
+	}
 	f := &Frozen{nodes: make([]int, nn), rowStart: make([]int32, nn+1)}
 	prev := int64(0)
 	for i := range f.nodes {
@@ -229,7 +220,11 @@ func DecodeFrozen(b []byte) (*Frozen, error) {
 			if err != nil {
 				return nil, err
 			}
-			prev += int64(d)
+			next := prev + int64(d)
+			if d == 0 || int64(d) < 0 || next < prev {
+				return nil, fmt.Errorf("graph: frozen segment: node ids not strictly ascending at node %d", i)
+			}
+			prev = next
 		}
 		f.nodes[i] = int(prev)
 	}
@@ -239,25 +234,34 @@ func DecodeFrozen(b []byte) (*Frozen, error) {
 		if err != nil {
 			return nil, err
 		}
-		prevCol := uint64(0)
+		if rl > uint64(len(b))/2 {
+			return nil, fmt.Errorf("graph: frozen segment: row of %d edges in %d bytes", rl, len(b))
+		}
+		col := uint64(0)
 		for j := uint64(0); j < rl; j++ {
 			d, err := uv()
 			if err != nil {
 				return nil, err
 			}
-			if j == 0 {
-				prevCol = d
-			} else {
-				prevCol += d
+			if j > 0 && d == 0 {
+				return nil, fmt.Errorf("graph: frozen segment: row %d columns not strictly ascending", i)
 			}
-			if prevCol >= nn {
-				return nil, fmt.Errorf("graph: frozen segment: column %d out of range", prevCol)
+			if d >= nn || col+d >= nn {
+				return nil, fmt.Errorf("graph: frozen segment: column out of range in row %d", i)
+			}
+			col += d
+			if col == uint64(i) {
+				return nil, fmt.Errorf("graph: frozen segment: self-edge on row %d", i)
 			}
 			if len(b) == 0 {
 				return nil, fmt.Errorf("graph: frozen segment: missing label byte")
 			}
-			f.to = append(f.to, int32(prevCol))
-			f.ks = append(f.ks, KindSet(b[0]))
+			lab := KindSet(b[0])
+			if lab == 0 || lab>>numKinds != 0 {
+				return nil, fmt.Errorf("graph: frozen segment: bad label %#x in row %d", b[0], i)
+			}
+			f.to = append(f.to, int32(col))
+			f.ks = append(f.ks, lab)
 			b = b[1:]
 		}
 	}

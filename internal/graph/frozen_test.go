@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -68,25 +69,105 @@ func TestFrozenMatchesSubgraph(t *testing.T) {
 			}
 		}
 		f := NewFrozen(g, sub)
-		want := g.Subgraph(sub)
-		if f.NumNodes() != want.NumNodes() {
-			t.Fatalf("trial %d: frozen has %d nodes, subgraph %d", trial, f.NumNodes(), want.NumNodes())
+		if f.NumNodes() != len(sub) {
+			t.Fatalf("trial %d: frozen has %d nodes, subgraph %d", trial, f.NumNodes(), len(sub))
 		}
-		if got, w := sortedEdges(f.Edges()), graphEdges(want, in); !reflect.DeepEqual(got, w) {
-			t.Fatalf("trial %d: frozen edges differ\n got %v\nwant %v", trial, got, w)
+		want := graphEdges(g, in)
+		if got := sortedEdges(f.Edges()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: frozen edges differ\n got %v\nwant %v", trial, got, want)
 		}
-		// Cycle search over the frozen region matches the mutable subgraph.
-		got := f.Cycles(0, 1)
-		wantCycles := want.AnomalousCycles(0, 1)
-		if len(got) != len(wantCycles) {
-			t.Fatalf("trial %d: %d frozen cycles, want %d", trial, len(got), len(wantCycles))
+		// Cycle search over the frozen region matches the reference
+		// search over the same induced subgraph.
+		ref := New()
+		for _, n := range sub {
+			ref.Ensure(n)
 		}
-		for i := range got {
-			if CycleKey(got[i]) != CycleKey(wantCycles[i]) {
-				t.Fatalf("trial %d: cycle %d = %v, want %v", trial, i, got[i], wantCycles[i])
+		ref.AddEdges(want)
+		got, _ := f.AnomalousCycles(0, 1)
+		if w := ref.refAnomalousCycles(0, 1); !reflect.DeepEqual(got, w) {
+			t.Fatalf("trial %d: frozen cycles %v, want %v", trial, got, w)
+		}
+		// The whole-graph freeze is the induced subgraph on every node.
+		whole, all := g.Freeze(), NewFrozen(g, g.Nodes())
+		if !reflect.DeepEqual(whole.Nodes(), all.Nodes()) || !reflect.DeepEqual(whole.Edges(), all.Edges()) {
+			t.Fatalf("trial %d: Freeze differs from NewFrozen over every node", trial)
+		}
+	}
+}
+
+// searchExtras are the extra-order masks the reference comparisons run
+// every search with.
+var searchExtras = []KindSet{0, Process.Mask(), Realtime.Mask(), Timestamp.Mask(), KSOrders, KSOrders | Timestamp.Mask()}
+
+// checkAgainstReference runs every Frozen search over g.Freeze() at
+// every mask AnomalousCycles uses for extra, and demands results equal
+// to the map-based reference's, cycle steps included.
+func checkAgainstReference(t *testing.T, g *Graph, extra KindSet, p int) {
+	t.Helper()
+	f := g.Freeze()
+	for _, mask := range []KindSet{KSWW | extra, KSWWWR | extra, KSDep | extra} {
+		if got, want := f.SCCs(mask), g.refSortedSCCs(mask); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("SCCs(%v) = %v, want %v", mask, got, want)
+		}
+		if got, want := f.FindCycles(mask, p), g.refFindCyclesP(mask, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FindCycles(%v, %d) = %v, want %v", mask, p, got, want)
+		}
+	}
+	if got, want := f.FindCyclesWithExactlyOne(RW, KSWWWR|extra, p), g.refFindCyclesWithExactlyOneP(RW, KSWWWR|extra, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FindCyclesWithExactlyOne(extra %v, %d) = %v, want %v", extra, p, got, want)
+	}
+	if got, want := f.FindCyclesWithAtLeastOne(RW, KSDep|extra, p), g.refFindCyclesWithAtLeastOneP(RW, KSDep|extra, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FindCyclesWithAtLeastOne(extra %v, %d) = %v, want %v", extra, p, got, want)
+	}
+	got, sccs := f.AnomalousCycles(extra, p)
+	if want := g.refAnomalousCycles(extra, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("AnomalousCycles(%v, %d) = %v, want %v", extra, p, got, want)
+	}
+	if want := len(g.refSCCs(KSDep | extra)); sccs != want {
+		t.Fatalf("AnomalousCycles(%v, %d) counted %d components, want %d", extra, p, sccs, want)
+	}
+}
+
+// TestFrozenSearchMatchesReference compares the CSR searches with the
+// map-based reference on random graphs whose nodes arrive out of id
+// order (so freezing must re-sort rows), with every edge kind present.
+func TestFrozenSearchMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + r.Intn(30)
+		g := New()
+		for e := r.Intn(4 * n); e > 0; e-- {
+			a, b := 7*r.Intn(n)-40, 7*r.Intn(n)-40
+			g.AddEdge(a, b, Kind(r.Intn(numKinds)))
+		}
+		for _, extra := range searchExtras {
+			for _, p := range []int{1, 4} {
+				checkAgainstReference(t, g, extra, p)
 			}
 		}
 	}
+}
+
+// FuzzCycleSearch decodes bytes into an edge list — the first byte
+// picks the extra orders, then (from, to, kind) triples — and demands
+// the Frozen searches agree with the reference.
+func FuzzCycleSearch(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0})
+	f.Add([]byte{0, 1, 2, 2, 2, 1, 0, 2, 3, 1, 3, 1, 2})
+	f.Add([]byte{0x18, 1, 2, 2, 2, 3, 3, 3, 1, 4, 3, 4, 6})
+	f.Add([]byte{0x58, 5, 4, 2, 4, 3, 0, 3, 5, 1, 5, 3, 2, 3, 4, 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		extra := KindSet(b[0]) & (KSOrders | Timestamp.Mask())
+		g := New()
+		for b = b[1:]; len(b) >= 3; b = b[3:] {
+			g.AddEdge(int(b[0]%32), int(b[1]%32), Kind(b[2]%numKinds))
+		}
+		checkAgainstReference(t, g, extra, 1)
+		checkAgainstReference(t, g, extra, 2)
+	})
 }
 
 func TestFrozenDedupsAndIgnoresUnknownNodes(t *testing.T) {
@@ -99,31 +180,6 @@ func TestFrozenDedupsAndIgnoresUnknownNodes(t *testing.T) {
 	}
 	if f.NumEdges() != 2 {
 		t.Fatalf("edges = %d, want 2", f.NumEdges())
-	}
-}
-
-func TestFrozenCyclesMemoized(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, WW)
-	g.AddEdge(2, 1, WW)
-	g.AddEdge(2, 3, Realtime)
-	g.AddEdge(3, 1, Realtime)
-	f := NewFrozen(g, []int{1, 2, 3})
-	a := f.Cycles(KSOrders, 2)
-	if len(a) == 0 {
-		t.Fatal("expected a cycle")
-	}
-	b := f.Cycles(KSOrders, 2)
-	if &a[0] != &b[0] {
-		t.Fatal("second query did not return the memoized slice")
-	}
-	if len(f.memo) != 1 {
-		t.Fatalf("memo holds %d masks, want 1", len(f.memo))
-	}
-	// A different mask is its own entry.
-	f.Cycles(0, 1)
-	if len(f.memo) != 2 {
-		t.Fatalf("memo holds %d masks, want 2", len(f.memo))
 	}
 }
 
@@ -174,11 +230,32 @@ func TestDecodeFrozenErrors(t *testing.T) {
 	g.AddEdge(1, 2, WW)
 	g.AddEdge(2, 1, RW)
 	enc := NewFrozen(g, []int{1, 2}).Encode(nil)
+	seg := func(uvs ...uint64) []byte { // magic, then uvarints
+		b := append([]byte(nil), frozenMagic[:]...)
+		for _, v := range uvs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	ww := uint64(WW.Mask())
 	cases := map[string][]byte{
 		"empty":     nil,
 		"bad magic": {1, 2, 3, 4},
 		"truncated": enc[:len(enc)-2],
 		"trailing":  append(append([]byte(nil), enc...), 0),
+		// Length prefixes larger than the bytes left must fail before
+		// they size an allocation.
+		"huge node count": seg(1 << 40),
+		"huge row":        seg(1, 0, 1<<40),
+		// Node ids are varint(first) then deltas; rows are a length,
+		// then column deltas each followed by a label byte.
+		"zero node delta":   seg(2, 2, 0, 0, 0),
+		"zero column delta": seg(3, 0, 1, 1, 2, 1, ww, 0, ww, 0, 0),
+		"column range":      seg(2, 0, 1, 1, 2, ww, 0),
+		"self-edge":         seg(2, 0, 1, 1, 0, ww, 0),
+		"empty label":       seg(2, 0, 1, 1, 1, 0, 0),
+		"unknown kind":      append(seg(2, 0, 1, 1, 1), 0x80, 0),
+		"node id overflow":  seg(2, 1<<63, 1<<63-1, 0, 0), // first id 2^62
 	}
 	for name, b := range cases {
 		if _, err := DecodeFrozen(b); err == nil {
@@ -241,4 +318,30 @@ func TestIncrRetire(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDecodeFrozen: DecodeFrozen never panics, and whatever it accepts
+// survives a round trip through Encode unchanged and can be searched.
+func FuzzDecodeFrozen(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 4; i++ {
+		g := New()
+		g.AddEdges(randomEdges(r, 12, 30))
+		f.Add(g.Freeze().Encode(nil))
+	}
+	f.Add(append(frozenMagic[:], 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fz, err := DecodeFrozen(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeFrozen(fz.Encode(nil))
+		if err != nil {
+			t.Fatalf("re-decoding an accepted segment: %v", err)
+		}
+		if !reflect.DeepEqual(again, fz) {
+			t.Fatalf("round trip changed the segment:\n got %+v\nwant %+v", again, fz)
+		}
+		fz.AnomalousCycles(KSOrders|Timestamp.Mask(), 1)
+	})
 }

@@ -1,9 +1,11 @@
 // Package graph provides the labeled dependency-graph substrate Elle
 // searches for anomalies (§6 of the paper): a directed multigraph over
 // observed transactions whose edges carry dependency kinds (ww, wr, rw,
-// process, realtime, version), strongly connected components via an
-// iterative Tarjan, and breadth-first searches for short cycles with
-// particular edge-kind properties.
+// process, realtime, version). Graph is the mutable builder analyzers
+// and the incremental SCC maintenance (Incr) add edges to; Frozen, its
+// immutable CSR snapshot, is the form searched: strongly connected
+// components via an iterative Tarjan, and breadth-first searches for
+// short cycles with particular edge-kind properties.
 package graph
 
 import (
@@ -287,15 +289,15 @@ func (g *Graph) Out(a int, mask KindSet, f func(b int, label KindSet)) {
 	}
 }
 
-// scratchPool recycles the per-call target buffers of OutSorted, the
-// innermost loop of every BFS cycle search; without it each visit of a
-// node allocates a fresh slice.
+// scratchPool recycles the per-call target buffers of OutSorted, which
+// the dep relation (internal/rel) calls once per node; without it each
+// call allocates a fresh slice.
 var scratchPool = sync.Pool{New: func() any { return new([]halfEdge) }}
 
 // OutSorted is Out with callbacks in ascending node order; used where
-// deterministic traversal matters (cycle searches, explanations, tests).
-// The callback may re-enter OutSorted (nested searches each draw their
-// own scratch buffer from the pool).
+// deterministic traversal matters (the dep relation, tests). The
+// callback may re-enter OutSorted (nested calls each draw their own
+// scratch buffer from the pool).
 func (g *Graph) OutSorted(a int, mask KindSet, f func(b int, label KindSet)) {
 	ai, ok := g.ids[a]
 	if !ok {
@@ -316,22 +318,4 @@ func (g *Graph) OutSorted(a int, mask KindSet, f func(b int, label KindSet)) {
 	}
 	*bufp = targets[:0]
 	scratchPool.Put(bufp)
-}
-
-// Filter returns a new graph containing only edges whose label intersects
-// mask (labels are narrowed to the intersection). All nodes are preserved.
-func (g *Graph) Filter(mask KindSet) *Graph {
-	out := New()
-	for _, n := range g.nodes {
-		out.Ensure(n)
-	}
-	for ai, adj := range g.adj {
-		a := g.nodes[ai]
-		for _, e := range adj {
-			if inter := e.ks & mask; inter != 0 {
-				out.addMask(a, g.nodes[e.to], inter)
-			}
-		}
-	}
-	return out
 }

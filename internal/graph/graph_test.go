@@ -84,23 +84,6 @@ func TestOutFiltering(t *testing.T) {
 	g.Out(99, KSDep, func(int, KindSet) { t.Error("unexpected callback") })
 }
 
-func TestFilter(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, WW)
-	g.AddEdge(2, 3, RW)
-	g.AddEdge(3, 1, WR)
-	f := g.Filter(KSWWWR)
-	if f.NumEdges() != 2 {
-		t.Errorf("filtered edges = %d", f.NumEdges())
-	}
-	if f.NumNodes() != 3 {
-		t.Errorf("filter should keep all nodes, got %d", f.NumNodes())
-	}
-	if f.Label(2, 3) != 0 {
-		t.Error("rw edge should be gone")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := New()
 	a.AddEdge(1, 2, WW)
@@ -127,7 +110,7 @@ func TestSCCsSimple(t *testing.T) {
 	g.AddEdge(2, 3, WW)
 	g.AddEdge(3, 1, WW)
 	g.AddEdge(3, 4, WW)
-	sccs := g.SCCs(KSWW)
+	sccs := g.Freeze().SCCs(KSWW)
 	if len(sccs) != 1 {
 		t.Fatalf("SCCs = %v", sccs)
 	}
@@ -142,10 +125,10 @@ func TestSCCsRespectMask(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 2, WW)
 	g.AddEdge(2, 1, RW) // cycle only if rw edges allowed
-	if sccs := g.SCCs(KSWW); len(sccs) != 0 {
+	if sccs := g.Freeze().SCCs(KSWW); len(sccs) != 0 {
 		t.Errorf("ww-only SCCs = %v", sccs)
 	}
-	if sccs := g.SCCs(KSDep); len(sccs) != 1 {
+	if sccs := g.Freeze().SCCs(KSDep); len(sccs) != 1 {
 		t.Errorf("full SCCs = %v", sccs)
 	}
 }
@@ -158,7 +141,7 @@ func TestSCCsLargeChainNoOverflow(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.AddEdge(i, (i+1)%n, WW)
 	}
-	sccs := g.SCCs(KSWW)
+	sccs := g.Freeze().SCCs(KSWW)
 	if len(sccs) != 1 || len(sccs[0]) != n {
 		t.Fatalf("giant cycle not found: %d components", len(sccs))
 	}
@@ -169,7 +152,7 @@ func TestFindCyclesWW(t *testing.T) {
 	g.AddEdge(1, 2, WW)
 	g.AddEdge(2, 1, WW)
 	g.AddEdge(5, 6, WW) // acyclic part
-	cycles := g.FindCycles(KSWW)
+	cycles := g.Freeze().FindCycles(KSWW, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %d", len(cycles))
 	}
@@ -195,7 +178,7 @@ func TestFindCyclesFindsShortWitness(t *testing.T) {
 		g.AddEdge(i, i%5+1, WW)
 	}
 	g.AddEdge(2, 1, WW)
-	cycles := g.FindCycles(KSWW)
+	cycles := g.Freeze().FindCycles(KSWW, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %d", len(cycles))
 	}
@@ -209,7 +192,7 @@ func TestFindCyclesWithExactlyOne(t *testing.T) {
 	// G-single shape: 1 -rw-> 2 -ww-> 1.
 	g.AddEdge(1, 2, RW)
 	g.AddEdge(2, 1, WW)
-	cycles := g.FindCyclesWithExactlyOne(RW, KSWWWR)
+	cycles := g.Freeze().FindCyclesWithExactlyOne(RW, KSWWWR, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %d", len(cycles))
 	}
@@ -224,11 +207,11 @@ func TestFindCyclesWithExactlyOneRejectsTwoRW(t *testing.T) {
 	// Write-skew shape: both edges are rw; no cycle uses exactly one.
 	g.AddEdge(1, 2, RW)
 	g.AddEdge(2, 1, RW)
-	if cycles := g.FindCyclesWithExactlyOne(RW, KSWWWR); len(cycles) != 0 {
+	if cycles := g.Freeze().FindCyclesWithExactlyOne(RW, KSWWWR, 1); len(cycles) != 0 {
 		t.Errorf("found %d cycles, want 0", len(cycles))
 	}
 	// But the at-least-one search must find it.
-	cycles := g.FindCyclesWithAtLeastOne(RW, KSDep)
+	cycles := g.Freeze().FindCyclesWithAtLeastOne(RW, KSDep, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("at-least-one found %d", len(cycles))
 	}
@@ -243,7 +226,7 @@ func TestFindCyclesWithExactlyOnePrefersLongWayRound(t *testing.T) {
 	g.AddEdge(1, 2, RW)
 	g.AddEdge(2, 3, WR)
 	g.AddEdge(3, 1, WW)
-	cycles := g.FindCyclesWithExactlyOne(RW, KSWWWR)
+	cycles := g.Freeze().FindCyclesWithExactlyOne(RW, KSWWWR, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("cycles = %d", len(cycles))
 	}
@@ -257,7 +240,7 @@ func TestCycleString(t *testing.T) {
 	g := New()
 	g.AddEdge(3, 7, RW)
 	g.AddEdge(7, 3, WW)
-	c := g.FindCyclesWithExactlyOne(RW, KSWW)[0]
+	c := g.Freeze().FindCyclesWithExactlyOne(RW, KSWW, 1)[0]
 	want := "T3 -rw-> T7 -ww-> T3"
 	if got := c.String(); got != want {
 		t.Errorf("Cycle.String() = %q, want %q", got, want)
@@ -308,16 +291,17 @@ func TestCycleClosureProperty(t *testing.T) {
 				}
 			}
 		}
-		checkCycles(g.FindCycles(KSWW), KSWW)
-		checkCycles(g.FindCycles(KSWWWR), KSWWWR)
-		checkCycles(g.FindCycles(KSDep), KSDep)
-		for _, c := range g.FindCyclesWithExactlyOne(RW, KSWWWR) {
+		f := g.Freeze()
+		checkCycles(f.FindCycles(KSWW, 1), KSWW)
+		checkCycles(f.FindCycles(KSWWWR, 1), KSWWWR)
+		checkCycles(f.FindCycles(KSDep, 1), KSDep)
+		for _, c := range f.FindCyclesWithExactlyOne(RW, KSWWWR, 1) {
 			if c.CountVia(RW) != 1 {
 				t.Fatalf("trial %d: exactly-one returned %d rw steps", trial, c.CountVia(RW))
 			}
 		}
-		checkCycles(g.FindCyclesWithExactlyOne(RW, KSWWWR), KSDep)
-		for _, c := range g.FindCyclesWithAtLeastOne(RW, KSDep) {
+		checkCycles(f.FindCyclesWithExactlyOne(RW, KSWWWR, 1), KSDep)
+		for _, c := range f.FindCyclesWithAtLeastOne(RW, KSDep, 1) {
 			if c.CountVia(RW) < 1 {
 				t.Fatalf("trial %d: at-least-one returned no rw step", trial)
 			}
@@ -340,7 +324,7 @@ func TestSCCAgainstNaive(t *testing.T) {
 		}
 		want := naiveSCCs(g, n)
 		got := map[string]bool{}
-		for _, scc := range g.SCCs(KSWW) {
+		for _, scc := range g.Freeze().SCCs(KSWW) {
 			sort.Ints(scc)
 			got[fmtInts(scc)] = true
 		}
@@ -438,8 +422,8 @@ func fmtStd(n int) string {
 	return s
 }
 
-// TestFilterMergeProperties: filtering to the full mask is the identity;
-// merging a graph into an empty graph reproduces it; merge is idempotent.
+// TestFilterMergeProperties: merging a graph into an empty graph
+// reproduces it; merge is idempotent.
 func TestFilterMergeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	allKinds := KSDep | KSOrders | Version.Mask() | Timestamp.Mask()
@@ -465,9 +449,6 @@ func TestFilterMergeProperties(t *testing.T) {
 				}
 			}
 			return true
-		}
-		if f := g.Filter(allKinds); !same(g, f) {
-			t.Fatalf("trial %d: Filter(all) is not the identity", trial)
 		}
 		m := New()
 		m.Merge(g)

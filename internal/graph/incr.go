@@ -366,32 +366,3 @@ func (x *Incr) DirtySCCs() [][]int {
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
-
-// Subgraph returns the subgraph of g induced by the given nodes,
-// preserving every edge kind among them. Nodes absent from g are
-// ignored. The streaming checker searches induced subgraphs of dirty
-// components: any cycle found there is a cycle of the full graph.
-func (g *Graph) Subgraph(nodes []int) *Graph {
-	out := New()
-	in := make(map[int]bool, len(nodes))
-	for _, n := range nodes {
-		if g.HasNode(n) {
-			in[n] = true
-			out.Ensure(n)
-		}
-	}
-	for _, n := range nodes {
-		ai, ok := g.ids[n]
-		if !ok {
-			continue
-		}
-		for _, e := range g.adj[ai] {
-			b := g.nodes[e.to]
-			if !in[b] {
-				continue
-			}
-			out.addMask(n, b, e.ks)
-		}
-	}
-	return out
-}

@@ -65,7 +65,7 @@ func TestIncrMatchesTarjan(t *testing.T) {
 				k := Kind(rng.Intn(3)) // WW, WR, RW
 				x.AddEdge(a, b, k)
 				got := x.SCCs()
-				want := x.Graph().sortedSCCs(KSDep)
+				want := x.Graph().Freeze().SCCs(KSDep)
 				if !sccSetsEqual(got, want) {
 					t.Fatalf("nodes %d seed %d, after %d edges (+%d->%d): incr %v, tarjan %v",
 						nodes, seed, i+1, a, b, got, want)
@@ -131,31 +131,8 @@ func TestIncrMergesThroughIntermediates(t *testing.T) {
 	if len(sccs) != 1 || len(sccs[0]) != 4 {
 		t.Fatalf("expected one 4-node component, got %v", sccs)
 	}
-	want := x.Graph().sortedSCCs(KSDep)
+	want := x.Graph().Freeze().SCCs(KSDep)
 	if !sccSetsEqual(sccs, want) {
 		t.Fatalf("incr %v != tarjan %v", sccs, want)
-	}
-}
-
-// TestSubgraph checks the induced subgraph keeps exactly the internal
-// edges with their kinds.
-func TestSubgraph(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2, WW)
-	g.AddEdge(2, 3, WR)
-	g.AddEdge(3, 1, RW)
-	g.AddEdge(1, 9, WW) // leaves the subgraph
-	sub := g.Subgraph([]int{1, 2, 3, 99})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("nodes = %d, want 3", sub.NumNodes())
-	}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3", sub.NumEdges())
-	}
-	if !sub.Label(1, 2).Has(WW) || !sub.Label(2, 3).Has(WR) || !sub.Label(3, 1).Has(RW) {
-		t.Fatal("subgraph lost edge labels")
-	}
-	if sub.Label(1, 9) != 0 {
-		t.Fatal("subgraph kept an external edge")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -266,11 +265,9 @@ func (s *session) scan(d *workload.Delta) {
 	for _, scc := range dirty {
 		nodes = append(nodes, scc...)
 	}
-	// The induced subgraph is σ_{from,to ∈ dirty}(dep) over the
-	// incremental graph, seeded from the dirty node list so the cost is
+	// Freeze the subgraph induced by the dirty nodes: the cost is
 	// O(edges incident to the dirty components), not O(graph).
-	sub := rel.Subgraph(s.incr.Graph(), nodes)
-	cycles := sub.AnomalousCycles(0, s.a.opts.Parallelism)
+	cycles, _ := graph.NewFrozen(s.incr.Graph(), nodes).AnomalousCycles(0, s.a.opts.Parallelism)
 	if len(cycles) == 0 {
 		return
 	}

@@ -101,7 +101,7 @@ func TestTiDBGSingle(t *testing.T) {
 	if !a.Graph.Label(2, 1).Has(graph.WW) {
 		t.Error("T2 should ww-precede T1 (5 before 4 in [2 1 5 4])")
 	}
-	cycles := a.Graph.FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR)
+	cycles := a.Graph.Freeze().FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected one G-single cycle, got %d", len(cycles))
 	}
@@ -289,7 +289,7 @@ func TestG0WriteCycle(t *testing.T) {
 		op.Txn(2, 2, op.OK, op.ReadList("x", []int{1, 2})),
 		op.Txn(3, 3, op.OK, op.ReadList("y", []int{1, 2})),
 	)
-	cycles := a.Graph.FindCycles(graph.KSWW)
+	cycles := a.Graph.Freeze().FindCycles(graph.KSWW, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected G0 cycle, found %d", len(cycles))
 	}
@@ -302,7 +302,7 @@ func TestG1cCycle(t *testing.T) {
 		op.Txn(0, 0, op.OK, op.Append("x", 1), op.ReadList("y", []int{1})),
 		op.Txn(1, 1, op.OK, op.Append("y", 1), op.ReadList("x", []int{1})),
 	)
-	cycles := a.Graph.FindCycles(graph.KSWWWR)
+	cycles := a.Graph.Freeze().FindCycles(graph.KSWWWR, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected G1c cycle, found %d", len(cycles))
 	}
@@ -324,10 +324,10 @@ func TestWriteSkewG2(t *testing.T) {
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("unexpected anomalies: %v", a.Anomalies)
 	}
-	if cycles := a.Graph.FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR); len(cycles) != 0 {
+	if cycles := a.Graph.Freeze().FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR, 1); len(cycles) != 0 {
 		t.Fatalf("write skew misclassified as G-single")
 	}
-	cycles := a.Graph.FindCyclesWithAtLeastOne(graph.RW, graph.KSDep)
+	cycles := a.Graph.Freeze().FindCyclesWithAtLeastOne(graph.RW, graph.KSDep, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected G2 cycle, found %d", len(cycles))
 	}

@@ -66,7 +66,7 @@ func TestDgraphReadSkew(t *testing.T) {
 	if !a.Graph.Label(3, 1).Has(graph.WR) {
 		t.Error("T1 observed T3's write of 2432: wr edge missing")
 	}
-	cycles := a.Graph.FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR)
+	cycles := a.Graph.Freeze().FindCyclesWithExactlyOne(graph.RW, graph.KSWWWR, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected G-single, found %d cycles", len(cycles))
 	}
@@ -91,7 +91,7 @@ func TestDgraphCyclicVersionOrder(t *testing.T) {
 		t.Fatalf("expected cyclic version order, got %v", a.Anomalies)
 	}
 	// The cyclic key's edges are discarded: no transaction cycle follows.
-	if cycles := a.Graph.FindCycles(graph.KSDep); len(cycles) != 0 {
+	if cycles := a.Graph.Freeze().FindCycles(graph.KSDep, 1); len(cycles) != 0 {
 		t.Fatalf("discarded version order still seeded cycles: %v", cycles)
 	}
 }
@@ -230,7 +230,7 @@ func TestCleanRegisterHistoryNoAnomalies(t *testing.T) {
 	if len(a.Anomalies) != 0 {
 		t.Fatalf("clean history produced anomalies: %v", a.Anomalies)
 	}
-	if cycles := a.Graph.FindCycles(graph.KSDep); len(cycles) != 0 {
+	if cycles := a.Graph.Freeze().FindCycles(graph.KSDep, 1); len(cycles) != 0 {
 		t.Fatalf("clean history produced cycles: %v", cycles)
 	}
 }

@@ -131,7 +131,7 @@ func TestLongForkOverSets(t *testing.T) {
 		op.Txn(2, 2, op.OK, op.ReadList("x", []int{1}), op.ReadList("y", []int{})),
 		op.Txn(3, 3, op.OK, op.ReadList("y", []int{1}), op.ReadList("x", []int{})),
 	)
-	cycles := a.Graph.FindCyclesWithAtLeastOne(graph.RW, graph.KSDep)
+	cycles := a.Graph.Freeze().FindCyclesWithAtLeastOne(graph.RW, graph.KSDep, 1)
 	if len(cycles) != 1 {
 		t.Fatalf("expected a G2 cycle, found %d", len(cycles))
 	}
