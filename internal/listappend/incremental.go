@@ -22,8 +22,8 @@ const scanEvery = 128
 
 // session is the native incremental analysis for list-append histories
 // (workload.Session). Across feeds it maintains every index the batch
-// analyzer builds up front — the op/span maps, the per-element attempt
-// and writer indices — plus the per-key version orders (the longest
+// analyzer builds up front — the op index and the per-key element
+// columns — plus the per-key version orders (the longest
 // clean read, replaced only by a strictly longer one) and a per-key
 // dependency-edge cache that is rebuilt only for keys the last chunk
 // touched. A graph.Incr ingests the refreshed edges and yields the
@@ -40,7 +40,11 @@ type session struct {
 	keys   []history.KeyID // keys with clean reads, insertion order (sorted on demand)
 	orders [][]int         // current version orders: longest clean read per key
 
-	readersOf map[elemKey][]int // committed readers of each element, for late-abort G1a
+	// late holds, per KeyID, the committed readers of elements no op
+	// has attempted yet: if the first attempt fails, they read aborted
+	// state (late-abort G1a). An element's entry goes at its first
+	// attempt.
+	late []map[int][]int
 
 	incr      *graph.Incr
 	touched   map[history.KeyID]bool // keys whose edge caches are stale
@@ -66,12 +70,11 @@ type keyState struct {
 func beginSession(opts workload.Opts) workload.Session {
 	hs := history.NewStream()
 	s := &session{
-		a:         newAnalyzer(opts, hs.Keys()),
-		hs:        hs,
-		readersOf: map[elemKey][]int{},
-		incr:      graph.NewIncr(graph.KSDep),
-		touched:   map[history.KeyID]bool{},
-		emitted:   map[string]bool{},
+		a:       newAnalyzer(opts, hs.Keys()),
+		hs:      hs,
+		incr:    graph.NewIncr(graph.KSDep),
+		touched: map[history.KeyID]bool{},
+		emitted: map[string]bool{},
 	}
 	if opts.MemoryBudget > 0 {
 		hs.SetBudget(workload.StreamBudget(opts))
@@ -134,29 +137,31 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 		}
 		k := a.kid(m.Key)
 		s.touched[k] = true
-		ek := elemKey{k, m.Arg}
-		switch len(a.attempts[ek]) {
+		c := a.cols[k]
+		i, _ := c.lookup(m.Arg)
+		readers := s.takeLate(k, m.Arg)
+		switch c.count[i] {
 		case 1:
 			if o.Type == op.Fail {
 				// Readers that already observed this element read state
 				// that is now known to be aborted.
-				for _, r := range s.readersOf[ek] {
+				for _, r := range readers {
 					ro := a.ops[r]
-					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", ek.key, ek.elem, r, o.Index),
-						g1aAnomaly(ro, m.Key, readListOf(ro, m.Key, ek.elem), ek.elem, o))
+					s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, m.Arg, r, o.Index),
+						g1aAnomaly(ro, m.Key, readListOf(ro, m.Key, m.Arg), m.Arg, o))
 				}
 			}
 		case 2:
 			// The evicted writer's edges may already be in the
 			// incremental graph; they are no longer evidence.
 			s.poisoned = true
-			s.emit(d, fmt.Sprintf("dup|%d|%d", ek.key, ek.elem), anomaly.Anomaly{
+			s.emit(d, fmt.Sprintf("dup|%d|%d", k, m.Arg), anomaly.Anomaly{
 				Type: anomaly.DuplicateAppends,
-				Ops:  []op.Op{a.ops[a.attempts[ek][0]], o},
+				Ops:  []op.Op{a.ops[c.first[i]], o},
 				Key:  m.Key,
 				Explanation: fmt.Sprintf(
 					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-					ek.elem, m.Key, len(a.attempts[ek])),
+					m.Arg, m.Key, c.count[i]),
 			})
 		}
 	}
@@ -170,23 +175,58 @@ func (s *session) ingest(o op.Op, d *workload.Delta) {
 		if !m.ListKnown() {
 			continue
 		}
-		if dup, ok := duplicateElements(o, m); ok {
-			d.Anomalies = append(d.Anomalies, dup)
-		}
 		k := a.kid(m.Key)
+		c := a.colAt(k)
+		// As in the batch read pass, strictly increasing ordinals prove
+		// the list duplicate-free.
+		increasing, prev := true, int32(-1)
+		var aborted [][2]int // (element, failed writer) pairs, in list order
 		for _, e := range m.List {
-			ek := elemKey{k, e}
-			s.readersOf[ek] = append(s.readersOf[ek], o.Index)
-			if w, ok := a.failedWriter[ek]; ok {
-				s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", ek.key, e, o.Index, w),
-					g1aAnomaly(o, m.Key, m.List, e, a.ops[w]))
+			i, ok := c.lookup(e)
+			if !ok {
+				increasing = false
+				s.late = history.GrowKeyed(s.late, k)
+				if s.late[k] == nil {
+					s.late[k] = map[int][]int{}
+				}
+				s.late[k][e] = append(s.late[k][e], o.Index)
+				continue
+			}
+			if i <= prev {
+				increasing = false
+			}
+			prev = i
+			if w, ok := c.failedWriter(i); ok {
+				aborted = append(aborted, [2]int{e, w})
 			}
 		}
-		if hasDuplicates(m.List) {
+		dup := false
+		if !increasing {
+			var e int
+			if e, dup = firstRepeat(m.List); dup {
+				d.Anomalies = append(d.Anomalies, duplicateElementsAnomaly(o, m, e))
+			}
+		}
+		for _, ew := range aborted {
+			s.emit(d, fmt.Sprintf("g1a|%d|%d|%d|%d", k, ew[0], o.Index, ew[1]),
+				g1aAnomaly(o, m.Key, m.List, ew[0], a.ops[ew[1]]))
+		}
+		if dup {
 			continue // not a clean read; contributes no version order
 		}
 		s.ingestCleanRead(o, m, d)
 	}
+}
+
+// takeLate removes and returns the readers recorded for element e of
+// key k before any op attempted it.
+func (s *session) takeLate(k history.KeyID, e int) []int {
+	if int(k) >= len(s.late) || s.late[k] == nil {
+		return nil
+	}
+	readers := s.late[k][e]
+	delete(s.late[k], e)
+	return readers
 }
 
 // ingestCleanRead folds one clean committed read into the key's
@@ -303,10 +343,10 @@ func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
 // Finish completes the stream: it refreshes the edge caches of keys
 // still pending since the last scan, then assembles the canonical
 // analysis in the batch phase order over the maintained indices. Only
-// the checks whose evidence is inherently global (garbage reads,
-// G1a/G1b against the final writer index, dirty and lost updates) run
-// over the whole history here; version orders and dependency edges are
-// the maintained ones.
+// the checks whose evidence is inherently global (the read pass's
+// garbage reads and G1a/G1b against the final element columns, dirty
+// and lost updates) run over the whole history here; version orders
+// and dependency edges are the maintained ones.
 func (s *session) Finish() (workload.Analysis, error) {
 	if s.done {
 		return workload.Analysis{}, workload.ErrSessionFinished
@@ -349,9 +389,10 @@ func (s *session) Finish() (workload.Analysis, error) {
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.internalAnomalies(a.oks[i])
 	}))
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readStructureAnomalies(a.oks[i])
-	}))
+	reads := a.readPass()
+	for i := range reads {
+		a.anomalies = append(a.anomalies, reads[i].structure...)
+	}
 	perKey := par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
 		ks := s.keyst[keys[i]]
 		return a.incompatAnomalies(keys[i], ks.reads, ks.longest)
@@ -368,7 +409,7 @@ func (s *session) Finish() (workload.Analysis, error) {
 		g.AddEdges(s.keyst[k].edges)
 	}
 
-	a.finishAnomalies(keys, s.orders)
+	a.finishAnomalies(reads, keys, s.orders)
 	return workload.Analysis{
 		Graph:     g,
 		Anomalies: a.anomalies,

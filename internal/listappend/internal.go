@@ -4,16 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/anomaly"
-	"repro/internal/history"
 	"repro/internal/op"
 )
 
 // keyModel tracks what a transaction must believe about one key.
 type keyModel struct {
+	key string
 	// known is true once the transaction has read the key, fixing the
 	// full expected value.
 	known bool
-	// value is the full expected value when known.
+	// value is the full expected value when known. It may alias the
+	// observed read, capped so that appending copies.
 	value []int
 	// appended holds the transaction's own appends since the last read
 	// (or since the start, if it has never read the key). When !known,
@@ -32,18 +33,19 @@ type keyModel struct {
 // reading nil — is the canonical violation.
 func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 	var out []anomaly.Anomaly
-	models := map[history.KeyID]*keyModel{}
-	model := func(k string) *keyModel {
-		id := a.kid(k)
-		m, ok := models[id]
-		if !ok {
-			m = &keyModel{}
-			models[id] = m
-		}
-		return m
-	}
+	// A transaction touches a handful of keys, so its models sit in a
+	// small slice searched linearly.
+	var buf [8]keyModel
+	models := buf[:0]
 	for _, mop := range o.Mops {
-		m := model(mop.Key)
+		mi := 0
+		for mi < len(models) && models[mi].key != mop.Key {
+			mi++
+		}
+		if mi == len(models) {
+			models = append(models, keyModel{key: mop.Key})
+		}
+		m := &models[mi]
 		switch mop.F {
 		case op.FAppend:
 			if m.known {
@@ -77,9 +79,11 @@ func (a *analyzer) internalAnomalies(o op.Op) []anomaly.Anomaly {
 						o.Name(), mop.Key, op.FormatList(observed), op.FormatList(m.appended)),
 				})
 			}
-			// Whatever was observed is the transaction's view from here on.
+			// Whatever was observed is the transaction's view from here
+			// on. The full slice expression makes a later append copy
+			// rather than write into the history's list.
 			m.known = true
-			m.value = append([]int(nil), observed...)
+			m.value = observed[:len(observed):len(observed)]
 			m.appended = nil
 		}
 	}

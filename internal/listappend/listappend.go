@@ -26,14 +26,15 @@ package listappend
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"sync"
 
 	"repro/internal/anomaly"
 	"repro/internal/graph"
 	"repro/internal/history"
 	"repro/internal/op"
 	"repro/internal/par"
-	"repro/internal/rel"
 	"repro/internal/workload"
 )
 
@@ -65,11 +66,6 @@ func (a *Analysis) VersionOrder(key string) []int {
 	return a.VersionOrders[id]
 }
 
-type elemKey struct {
-	key  history.KeyID
-	elem int
-}
-
 // cleanRead is one committed read of a well-formed (duplicate-free) list
 // value, the unit of per-key inference.
 type cleanRead struct {
@@ -78,37 +74,31 @@ type cleanRead struct {
 }
 
 // analyzer carries the indices built over one history. Per-key state is
-// keyed by the history interner's dense KeyIDs (see history.Interner),
-// so the hot inference loops hash small fixed-size structs, never key
-// strings.
+// a dense slice indexed by the history interner's KeyIDs (see
+// history.Interner), and per-element state lives in each key's element
+// columns (see elemCols), so the hot inference loops hash neither key
+// strings nor (key, element) composites.
 type analyzer struct {
 	opts workload.Opts
 	h    *history.History
 	in   *history.Interner
 
-	ops      map[int]op.Op // completion ops by index
-	oks      []op.Op
-	fails    []op.Op
-	infos    []op.Op
-	spanOf   map[int][2]int // op index -> [invoke index, complete index]
-	attempts map[elemKey][]int
-	// writer maps each recoverable element to the op index of the unique
-	// non-aborted attempt that wrote it. Aborted writers are tracked
-	// separately for G1a / dirty-update detection.
-	writer       map[elemKey]int
-	failedWriter map[elemKey]int
-	anomalies    []anomaly.Anomaly
+	ops map[int]op.Op // completion ops by index
+	oks []op.Op
+	// okInvoked holds, parallel to oks, the index of each op's invocation.
+	okInvoked []int
+	cols      []*elemCols // per-key element columns, indexed by KeyID
+	anomalies []anomaly.Anomaly
 
-	// failedIx indexes failed_append(key, elem, writer) tuples — the
-	// aborted writers — for the relational G1a scan, which probes it
-	// in one lookup join over the whole history. Built once by
-	// finishAnomalies; immutable thereafter.
-	failedIx *rel.Index
+	// pending indexes, per KeyID, the elements unpaired invocations
+	// appended; built on first use (see pendingAppend).
+	pendingOnce sync.Once
+	pending     []map[int]bool
 
-	// windowed marks a memory-budgeted streaming session: the oks /
-	// fails / infos slices are not accumulated (they would grow with the
-	// history, and the budgeted Finish re-analyzes the rehydrated
-	// history from scratch instead of reading them).
+	// windowed marks a memory-budgeted streaming session: oks and the
+	// committed-append columns are not accumulated (they would grow
+	// with the history, and the budgeted Finish re-analyzes the
+	// rehydrated history from scratch instead of reading them).
 	windowed bool
 }
 
@@ -118,13 +108,10 @@ type analyzer struct {
 // sessions).
 func newAnalyzer(opts workload.Opts, in *history.Interner) *analyzer {
 	return &analyzer{
-		opts:         opts,
-		in:           in,
-		ops:          map[int]op.Op{},
-		spanOf:       map[int][2]int{},
-		attempts:     map[elemKey][]int{},
-		writer:       map[elemKey]int{},
-		failedWriter: map[elemKey]int{},
+		opts: opts,
+		in:   in,
+		ops:  map[int]op.Op{},
+		cols: make([]*elemCols, in.Len()),
 	}
 }
 
@@ -148,17 +135,19 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	a.anomalies = append(a.anomalies, a.duplicateAppendAnomalies()...)
 
 	// Per-transaction checks: every committed op is validated against its
-	// own reads and writes, and against the write indices, independently.
+	// own reads and writes, and against the element columns,
+	// independently.
 	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
 		return a.internalAnomalies(a.oks[i])
 	}))
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.readStructureAnomalies(a.oks[i])
-	}))
+	reads := a.readPass()
+	for i := range reads {
+		a.anomalies = append(a.anomalies, reads[i].structure...)
+	}
 
 	// Per-key inference: version orders, then the dependency edges they
 	// imply. Results are merged in sorted-key order.
-	keys, byKey := a.cleanReadsByKey()
+	keys, byKey := a.cleanReadsByKey(reads)
 	perKey := par.Map(p, len(keys), func(i int) keyOrder {
 		k := keys[i]
 		longest := longestRead(byKey[k])
@@ -171,7 +160,7 @@ func Analyze(h *history.History, opts workload.Opts) *Analysis {
 	}
 	g := a.buildGraph(keys, byKey, orders)
 
-	a.finishAnomalies(keys, orders)
+	a.finishAnomalies(reads, keys, orders)
 	return &Analysis{
 		Graph:         g,
 		Anomalies:     a.anomalies,
@@ -190,17 +179,18 @@ func orderAt(orders [][]int, k history.KeyID) []int {
 	return nil
 }
 
-// finishAnomalies runs the checks that need the final write indices and
-// version orders — G1a/G1b, dirty updates, lost updates — shared by the
-// batch Analyze and the streaming session's Finish.
-func (a *analyzer) finishAnomalies(keys []history.KeyID, orders [][]int) {
-	p := a.opts.Parallelism
-	a.failedIx = rel.BuildIndex(a.failedAppends(), "key", "elem")
-	a.anomalies = append(a.anomalies, a.abortedReadAnomalies()...)
-	a.collect(par.Map(p, len(a.oks), func(i int) []anomaly.Anomaly {
-		return a.intermediateReadAnomalies(a.oks[i])
-	}))
-	a.collect(par.Map(p, len(keys), func(i int) []anomaly.Anomaly {
+// finishAnomalies appends the findings that come after version-order
+// inference in the report — the read pass's G1a and G1b, then dirty and
+// lost updates along the final version orders — shared by the batch
+// Analyze and the streaming session's Finish.
+func (a *analyzer) finishAnomalies(reads []txnReads, keys []history.KeyID, orders [][]int) {
+	for i := range reads {
+		a.anomalies = append(a.anomalies, reads[i].g1a...)
+	}
+	for i := range reads {
+		a.anomalies = append(a.anomalies, reads[i].g1b...)
+	}
+	a.collect(par.Map(a.opts.Parallelism, len(keys), func(i int) []anomaly.Anomaly {
 		return a.dirtyUpdateAnomalies(keys[i], orderAt(orders, keys[i]))
 	}))
 	if a.opts.DetectLostUpdates {
@@ -212,40 +202,24 @@ func (a *analyzer) collect(groups [][]anomaly.Anomaly) {
 	a.anomalies = anomaly.AppendGroups(a.anomalies, groups)
 }
 
-// addOp indexes one completion op: the op and span indices every check
-// reads, and the per-element attempt index with its recoverability
-// transitions — the first attempt on an element claims the writer slot,
-// a second attempt destroys recoverability (§4.2.3) and evicts it.
+// addOp indexes one completion op: the op index every check reads, and
+// each append's attempt in its key's element columns (see elemCols).
 // Ops must be added in ascending index order.
 func (a *analyzer) addOp(o op.Op, span [2]int) {
 	a.ops[o.Index] = o
-	a.spanOf[o.Index] = span
-	if !a.windowed {
-		switch o.Type {
-		case op.OK:
-			a.oks = append(a.oks, o)
-		case op.Fail:
-			a.fails = append(a.fails, o)
-		case op.Info:
-			a.infos = append(a.infos, o)
-		}
+	ok := o.Type == op.OK && !a.windowed
+	if ok {
+		a.oks = append(a.oks, o)
+		a.okInvoked = append(a.okInvoked, span[0])
 	}
 	for _, m := range o.Mops {
 		if m.F != op.FAppend {
 			continue
 		}
-		ek := elemKey{a.in.Intern(m.Key), m.Arg}
-		a.attempts[ek] = append(a.attempts[ek], o.Index)
-		switch len(a.attempts[ek]) {
-		case 1:
-			if o.Type == op.Fail {
-				a.failedWriter[ek] = o.Index
-			} else {
-				a.writer[ek] = o.Index
-			}
-		case 2:
-			delete(a.writer, ek)
-			delete(a.failedWriter, ek)
+		c := a.colFor(a.in.Intern(m.Key))
+		i := c.attempt(m.Arg, o.Index, o.Type == op.Fail)
+		if ok && a.opts.DetectLostUpdates {
+			c.commits = append(c.commits, commitAppend{txn: o.Index, completed: span[1], elem: m.Arg, ord: i})
 		}
 	}
 }
@@ -253,127 +227,161 @@ func (a *analyzer) addOp(o op.Op, span [2]int) {
 // duplicateAppendAnomalies reports every element appended more than
 // once, in sorted (key, element) order.
 func (a *analyzer) duplicateAppendAnomalies() []anomaly.Anomaly {
-	var keys []elemKey
-	for ek, idxs := range a.attempts {
-		if len(idxs) > 1 {
-			keys = append(keys, ek)
+	var keys []history.KeyID
+	for k, c := range a.cols {
+		if c != nil && len(c.dups) > 0 {
+			keys = append(keys, history.KeyID(k))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].key != keys[j].key {
-			return a.in.Less(keys[i].key, keys[j].key)
-		}
-		return keys[i].elem < keys[j].elem
-	})
+	a.in.SortKeyIDs(keys)
 	var out []anomaly.Anomaly
-	for _, ek := range keys {
-		idxs := a.attempts[ek]
-		sort.Ints(idxs)
-		ops := make([]op.Op, len(idxs))
-		for i, ix := range idxs {
-			ops[i] = a.ops[ix]
+	for _, k := range keys {
+		c := a.cols[k]
+		kname := a.in.Key(k)
+		for _, e := range slices.Sorted(maps.Keys(c.dups)) {
+			idxs := c.dups[e]
+			slices.Sort(idxs)
+			ops := make([]op.Op, len(idxs))
+			for i, ix := range idxs {
+				ops[i] = a.ops[ix]
+			}
+			out = append(out, anomaly.Anomaly{
+				Type: anomaly.DuplicateAppends,
+				Ops:  ops,
+				Key:  kname,
+				Explanation: fmt.Sprintf(
+					"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
+					e, kname, len(idxs)),
+			})
 		}
-		kname := a.in.Key(ek.key)
-		out = append(out, anomaly.Anomaly{
-			Type: anomaly.DuplicateAppends,
-			Ops:  ops,
-			Key:  kname,
-			Explanation: fmt.Sprintf(
-				"element %d was appended to key %s by %d distinct transactions; appends must be unique for versions to be recoverable",
-				ek.elem, kname, len(idxs)),
-		})
 	}
 	return out
 }
 
-// readStructureAnomalies validates each committed read value of one
-// transaction: no duplicate elements, and no garbage elements that were
-// never appended by any attempted transaction.
-func (a *analyzer) readStructureAnomalies(o op.Op) []anomaly.Anomaly {
-	var out []anomaly.Anomaly
+// txnReads is what the read pass found in one committed transaction's
+// reads, split by the report phase each finding belongs to.
+type txnReads struct {
+	structure []anomaly.Anomaly // duplicate elements, garbage reads
+	g1a       []anomaly.Anomaly // aborted reads
+	g1b       []anomaly.Anomaly // intermediate reads
+	// dupRead marks a transaction with some read holding an element
+	// twice: such a read is not clean.
+	dupRead bool
+}
+
+// readPass checks every committed transaction's reads against the
+// final element columns, in parallel and in op order.
+func (a *analyzer) readPass() []txnReads {
+	return par.Map(a.opts.Parallelism, len(a.oks), func(i int) txnReads {
+		return a.checkReads(a.oks[i])
+	})
+}
+
+// checkReads resolves each element of each of o's list reads to its
+// key's ordinal once, and from that one walk finds duplicate elements,
+// garbage reads (elements never appended by any attempted
+// transaction), aborted reads (G1a: elements whose only writer
+// aborted), and intermediate reads (G1b: a final element that was not
+// its writer's final append to the key).
+func (a *analyzer) checkReads(o op.Op) txnReads {
+	var f txnReads
 	for _, m := range o.Mops {
 		if !m.ListKnown() {
 			continue
 		}
-		if dup, ok := duplicateElements(o, m); ok {
-			out = append(out, dup)
-		}
 		k := a.kid(m.Key)
+		c := a.colAt(k)
+		// increasing holds while every element resolves to an ordinal
+		// above the last: such a list cannot repeat an element.
+		increasing, prev := true, int32(-1)
+		garbage, hasGarbage := 0, false
+		last, lastOK := int32(0), false
 		for _, e := range m.List {
-			if !a.attempted(elemKey{k, e}) {
-				out = append(out, anomaly.Anomaly{
-					Type: anomaly.GarbageRead,
-					Ops:  []op.Op{o},
-					Key:  m.Key,
-					Explanation: fmt.Sprintf(
-						"%s read key %s as %s, but element %d was never appended by any transaction",
-						o.Name(), m.Key, op.FormatList(m.List), e),
-				})
-				break
+			i, ok := c.lookup(e)
+			last, lastOK = i, ok
+			if !ok {
+				increasing = false
+				if !hasGarbage && !a.pendingAppend(k, e) {
+					garbage, hasGarbage = e, true
+				}
+				continue
+			}
+			if i <= prev {
+				increasing = false
+			}
+			prev = i
+			if w, ok := c.failedWriter(i); ok {
+				f.g1a = append(f.g1a, g1aAnomaly(o, m.Key, m.List, e, a.ops[w]))
 			}
 		}
-	}
-	return out
-}
-
-// duplicateElements reports a read value containing the same element
-// more than once — shared by readStructureAnomalies and the streaming
-// session, whose evidence for it is complete the moment the read is
-// observed.
-func duplicateElements(o op.Op, m op.Mop) (anomaly.Anomaly, bool) {
-	seen := make(map[int]bool, len(m.List))
-	for _, e := range m.List {
-		if seen[e] {
-			return anomaly.Anomaly{
-				Type: anomaly.DuplicateElements,
+		if !increasing {
+			if e, ok := firstRepeat(m.List); ok {
+				f.structure = append(f.structure, duplicateElementsAnomaly(o, m, e))
+				f.dupRead = true
+			}
+		}
+		if hasGarbage {
+			f.structure = append(f.structure, anomaly.Anomaly{
+				Type: anomaly.GarbageRead,
 				Ops:  []op.Op{o},
 				Key:  m.Key,
 				Explanation: fmt.Sprintf(
-					"%s read key %s as %s, which contains element %d more than once: some append was applied multiple times",
-					o.Name(), m.Key, op.FormatList(m.List), e),
-			}, true
+					"%s read key %s as %s, but element %d was never appended by any transaction",
+					o.Name(), m.Key, op.FormatList(m.List), garbage),
+			})
 		}
-		seen[e] = true
-	}
-	return anomaly.Anomaly{}, false
-}
-
-// attempted reports whether any op (including unpaired invocations from
-// crashed clients) tried to append ek.elem to ek.key.
-func (a *analyzer) attempted(ek elemKey) bool {
-	if len(a.attempts[ek]) > 0 {
-		return true
-	}
-	kname := a.in.Key(ek.key)
-	// Crashed clients leave an invoke with no completion; their appends
-	// may still have taken effect and are not garbage.
-	for _, o := range a.h.Ops {
-		if o.Type != op.Invoke {
+		if !lastOK {
 			continue
 		}
-		if _, done := a.ops[o.Index]; done {
-			continue
-		}
-		for _, m := range o.Mops {
-			if m.F == op.FAppend && m.Key == kname && m.Arg == ek.elem {
-				return true
+		if w, ok := c.writer(last); ok && w != o.Index {
+			wo := a.ops[w]
+			e := m.List[len(m.List)-1]
+			if fa := finalAppend(wo, m.Key); fa != e {
+				f.g1b = append(f.g1b, anomaly.Anomaly{
+					Type: anomaly.G1b,
+					Ops:  []op.Op{o, wo},
+					Key:  m.Key,
+					Explanation: fmt.Sprintf(
+						"%s read key %s as %s, whose final element %d was an intermediate append of %s (its final append to %s was %d): an intermediate read",
+						o.Name(), m.Key, op.FormatList(m.List), e, wo.Name(), m.Key, fa),
+				})
 			}
 		}
 	}
-	return false
+	return f
+}
+
+// duplicateElementsAnomaly renders a read value containing element e
+// more than once — shared with the streaming session, whose evidence
+// for it is complete the moment the read is observed.
+func duplicateElementsAnomaly(o op.Op, m op.Mop, e int) anomaly.Anomaly {
+	return anomaly.Anomaly{
+		Type: anomaly.DuplicateElements,
+		Ops:  []op.Op{o},
+		Key:  m.Key,
+		Explanation: fmt.Sprintf(
+			"%s read key %s as %s, which contains element %d more than once: some append was applied multiple times",
+			o.Name(), m.Key, op.FormatList(m.List), e),
+	}
 }
 
 // cleanReadsByKey groups every committed duplicate-free list read by
 // key — a dense KeyID-indexed slice, preserving op order within each
 // key — and returns the name-sorted list of keys with clean reads, the
-// per-key work items of version-order and edge inference.
-func (a *analyzer) cleanReadsByKey() ([]history.KeyID, [][]cleanRead) {
+// per-key work items of version-order and edge inference. reads is the
+// read pass's result, which flags the transactions holding a duplicate.
+func (a *analyzer) cleanReadsByKey(reads []txnReads) ([]history.KeyID, [][]cleanRead) {
 	byKey := make([][]cleanRead, a.in.Len())
 	var keys []history.KeyID
-	for _, o := range a.oks {
+	for oi, o := range a.oks {
 		for _, m := range o.Mops {
-			if !m.ListKnown() || hasDuplicates(m.List) {
+			if !m.ListKnown() {
 				continue
+			}
+			if reads[oi].dupRead {
+				if _, dup := firstRepeat(m.List); dup {
+					continue
+				}
 			}
 			k := a.kid(m.Key)
 			if len(byKey[k]) == 0 {
@@ -437,8 +445,8 @@ func incompatAnomaly(k string, r, longest cleanRead) anomaly.Anomaly {
 }
 
 // buildGraph emits the inferred serialization graph of §4.3.2: per-key
-// workers produce edge lists from the version orders and the
-// recoverable-writer index, which merge into one graph in key order.
+// workers produce edge lists from the version orders and the element
+// columns, which merge into one graph in key order.
 func (a *analyzer) buildGraph(keys []history.KeyID, byKey [][]cleanRead, orders [][]int) *graph.Graph {
 	g := graph.New()
 	// Every transaction that may have committed is a vertex, even if it
@@ -456,15 +464,25 @@ func (a *analyzer) buildGraph(keys []history.KeyID, byKey [][]cleanRead, orders 
 	return g
 }
 
-// keyEdges infers every dependency edge key k contributes.
+// keyEdges infers every dependency edge key k contributes. The writers
+// along the version order are resolved once; every read that is a
+// prefix of the order then finds the writers it observed and missed
+// by position.
 func (a *analyzer) keyEdges(k history.KeyID, reads []cleanRead, elems []int) []graph.Edge {
+	type slot struct {
+		w  int
+		ok bool
+	}
+	c := a.colAt(k)
+	writers := make([]slot, len(elems))
+	for i, e := range elems {
+		writers[i].w, writers[i].ok = c.writerOf(e)
+	}
 	var out []graph.Edge
 	// ww: consecutive recoverable writers along the version order.
 	for i := 0; i+1 < len(elems); i++ {
-		wi, oki := a.writer[elemKey{k, elems[i]}]
-		wj, okj := a.writer[elemKey{k, elems[i+1]}]
-		if oki && okj {
-			out = append(out, graph.Edge{From: wi, To: wj, Kind: graph.WW})
+		if wi, wj := writers[i], writers[i+1]; wi.ok && wj.ok {
+			out = append(out, graph.Edge{From: wi.w, To: wj.w, Kind: graph.WW})
 		}
 	}
 	for _, r := range reads {
@@ -476,117 +494,15 @@ func (a *analyzer) keyEdges(k history.KeyID, reads []cleanRead, elems []int) []g
 		// wr: the writer of the last element of the observed version
 		// installed the version this read observed.
 		if n := len(r.list); n > 0 {
-			if w, ok := a.writer[elemKey{k, r.list[n-1]}]; ok {
-				out = append(out, graph.Edge{From: w, To: r.o.Index, Kind: graph.WR})
+			if w := writers[n-1]; w.ok {
+				out = append(out, graph.Edge{From: w.w, To: r.o.Index, Kind: graph.WR})
 			}
 		}
 		// rw: the writer of the next element in ≪x overwrote the
 		// version this read observed.
-		if len(r.list) < len(elems) {
-			next := elems[len(r.list)]
-			if w, ok := a.writer[elemKey{k, next}]; ok {
-				out = append(out, graph.Edge{From: r.o.Index, To: w, Kind: graph.RW})
-			}
-		}
-	}
-	return out
-}
-
-// failedAppends is the relation failed_append(key, elem, writer): one
-// tuple per recoverable element whose only writer aborted. Build order
-// over the map is arbitrary, but every (key, elem) bucket holds exactly
-// one tuple, so index probes are deterministic regardless.
-func (a *analyzer) failedAppends() rel.Relation {
-	fw := a.failedWriter
-	return rel.NewRelation([]string{"key", "elem", "writer"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 3)
-		for ek, w := range fw {
-			t[0], t[1], t[2] = rel.Int(int(ek.key)), rel.Int(ek.elem), rel.Int(w)
-			if !yield(t) {
-				return
-			}
-		}
-	})
-}
-
-// allReadElems is the relation read_elem(key, elem, txn, mop) over
-// every committed transaction: every element of every known list read,
-// in transaction, program, and list order — the probe side of the
-// relational G1a scan. One relation spans the whole history so the
-// join pipeline is constructed once per analysis, not once per
-// transaction.
-func (a *analyzer) allReadElems() rel.Relation {
-	return rel.NewRelation([]string{"key", "elem", "txn", "mop"}, func(yield func(rel.Tuple) bool) {
-		t := make(rel.Tuple, 4)
-		for oi, o := range a.oks {
-			for pos, m := range o.Mops {
-				if !m.ListKnown() {
-					continue
-				}
-				k := rel.Int(int(a.kid(m.Key)))
-				for _, e := range m.List {
-					t[0], t[1], t[2], t[3] = k, rel.Int(e), rel.Int(oi), rel.Int(pos)
-					if !yield(t) {
-						return
-					}
-				}
-			}
-		}
-	})
-}
-
-// abortedReadAnomalies finds G1a — reads of versions containing
-// elements written by aborted transactions — in one relational pass
-// over the whole history: read_elem(key, elem, txn, mop) ⋈ the
-// prebuilt failed_append(key, elem, writer) index, each joined row one
-// aborted read. The lookup join streams reads in
-// transaction-then-program-and-list order, exactly the order the old
-// per-transaction scans merged to, so the report is unchanged;
-// evaluating the pipeline once instead of per transaction keeps its
-// setup cost off the hot path.
-func (a *analyzer) abortedReadAnomalies() []anomaly.Anomaly {
-	if a.failedIx.Len() == 0 {
-		// A lookup join against an empty failed_append index is empty
-		// by definition.
-		return nil
-	}
-	var out []anomaly.Anomaly
-	a.allReadElems().LookupJoin(a.failedIx).Each(func(t rel.Tuple) bool {
-		o := a.oks[t[2].Num()]
-		m := o.Mops[t[3].Num()]
-		out = append(out, g1aAnomaly(o, m.Key, m.List, int(t[1].Num()), a.ops[int(t[4].Num())]))
-		return true
-	})
-	return out
-}
-
-// intermediateReadAnomalies finds G1b (reads whose final element was
-// an intermediate write) for one committed transaction. Its sibling
-// G1a scan runs once for the whole history in abortedReadAnomalies;
-// the final report survives the split because classification
-// stable-sorts by (severity, type), separating the two types however
-// they interleave in the raw list.
-func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
-	var out []anomaly.Anomaly
-	for _, m := range o.Mops {
-		if !m.ListKnown() {
-			continue
-		}
-		k := a.kid(m.Key)
-		if n := len(m.List); n > 0 {
-			last := m.List[n-1]
-			if w, ok := a.writer[elemKey{k, last}]; ok && w != o.Index {
-				wo := a.ops[w]
-				if finalAppend(wo, m.Key) != last {
-					out = append(out, anomaly.Anomaly{
-						Type: anomaly.G1b,
-						Ops:  []op.Op{o, wo},
-						Key:  m.Key,
-						Explanation: fmt.Sprintf(
-							"%s read key %s as %s, whose final element %d was an intermediate append of %s (its final append to %s was %d): an intermediate read",
-							o.Name(), m.Key, op.FormatList(m.List), last, wo.Name(), m.Key, finalAppend(wo, m.Key)),
-					})
-				}
+		if n := len(r.list); n < len(elems) {
+			if w := writers[n]; w.ok {
+				out = append(out, graph.Edge{From: r.o.Index, To: w.w, Kind: graph.RW})
 			}
 		}
 	}
@@ -598,14 +514,15 @@ func (a *analyzer) intermediateReadAnomalies(o op.Op) []anomaly.Anomaly {
 // committed one means committed state incorporates aborted state (§4.1.5,
 // "Via Traces").
 func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID, elems []int) []anomaly.Anomaly {
+	c := a.colAt(k)
 	var out []anomaly.Anomaly
 	for i := 0; i+1 < len(elems); i++ {
-		fw, failed := a.failedWriter[elemKey{k, elems[i]}]
+		fw, failed := c.failedWriterOf(elems[i])
 		if !failed {
 			continue
 		}
 		for j := i + 1; j < len(elems); j++ {
-			if cw, ok := a.writer[elemKey{k, elems[j]}]; ok && a.ops[cw].Type == op.OK {
+			if cw, ok := c.writerOf(elems[j]); ok && a.ops[cw].Type == op.OK {
 				kname := a.in.Key(k)
 				out = append(out, anomaly.Anomaly{
 					Type: anomaly.DirtyUpdate,
@@ -624,15 +541,14 @@ func (a *analyzer) dirtyUpdateAnomalies(k history.KeyID, elems []int) []anomaly.
 
 // checkLostUpdates reports committed appends that are absent from a
 // longest read invoked strictly after the append's transaction
-// completed. The per-key scan is relational: the key's committed
-// appends, σ-filtered to those that completed before the long read was
-// invoked, anti-joined (▷) against the elements the read observed —
-// every surviving append is a lost update.
+// completed. Per key, the long read's elements mark their ordinals, and
+// one scan of the key's committed appends (recorded by addOp in op
+// order) reports every append that completed before the read was
+// invoked and whose ordinal is unmarked.
 func (a *analyzer) checkLostUpdates(orders [][]int) {
 	// Locate the longest read op per key (the one whose value is the
-	// version order) and its invocation index. Both indices are dense
-	// KeyID-indexed slices: by the time this runs (batch Analyze or a
-	// session's Finish) the interner is complete.
+	// version order) and its invocation index. By the time this runs
+	// (batch Analyze or a session's Finish) the interner is complete.
 	type longRead struct {
 		o      op.Op
 		invoke int
@@ -640,94 +556,51 @@ func (a *analyzer) checkLostUpdates(orders [][]int) {
 		ok     bool
 	}
 	longReads := make([]longRead, a.in.Len())
-	for _, o := range a.oks {
+	var keys []history.KeyID
+	for oi, o := range a.oks {
 		for _, m := range o.Mops {
 			if !m.ListKnown() {
 				continue
 			}
 			k := a.kid(m.Key)
 			elems := orderAt(orders, k)
-			if elems == nil || len(m.List) != len(elems) || !op.IsPrefix(m.List, elems) {
+			if longReads[k].ok || elems == nil || len(m.List) != len(elems) || !op.IsPrefix(m.List, elems) {
 				continue
 			}
-			if longReads[k].ok {
-				continue
-			}
-			longReads[k] = longRead{o: o, invoke: a.spanOf[o.Index][0], elems: elems, ok: true}
-		}
-	}
-	// Index committed appends by key once; scanning all transactions per
-	// key would make this check quadratic in history length.
-	type keyAppend struct {
-		o         op.Op
-		elem      int
-		completed int
-	}
-	appendsByKey := make([][]keyAppend, a.in.Len())
-	for _, w := range a.oks {
-		for _, m := range w.Mops {
-			if m.F == op.FAppend {
-				k := a.kid(m.Key)
-				appendsByKey[k] = append(appendsByKey[k],
-					keyAppend{o: w, elem: m.Arg, completed: a.spanOf[w.Index][1]})
-			}
-		}
-	}
-	var keys []history.KeyID
-	for k := range longReads {
-		if longReads[k].ok {
-			keys = append(keys, history.KeyID(k))
+			longReads[k] = longRead{o: o, invoke: a.okInvoked[oi], elems: elems, ok: true}
+			keys = append(keys, k)
 		}
 	}
 	a.in.SortKeyIDs(keys)
 	a.collect(par.Map(a.opts.Parallelism, len(keys), func(i int) []anomaly.Anomaly {
 		k := keys[i]
-		kname := a.in.Key(k)
+		c := a.colAt(k)
+		if c == nil {
+			return nil
+		}
 		lr := longReads[k]
-		kas := appendsByKey[k]
-
-		// observed(elem): the elements of the long read's value.
-		observedIx := rel.BuildIndex(rel.NewRelation([]string{"elem"},
-			func(yield func(rel.Tuple) bool) {
-				t := make(rel.Tuple, 1)
-				for _, e := range lr.elems {
-					t[0] = rel.Int(e)
-					if !yield(t) {
-						return
-					}
-				}
-			}), "elem")
-		// committed_append(pos, elem, completed, txn) for this key, in
-		// completion order.
-		appends := rel.NewRelation([]string{"pos", "elem", "completed", "txn"},
-			func(yield func(rel.Tuple) bool) {
-				t := make(rel.Tuple, 4)
-				for pos, ka := range kas {
-					t[0], t[1], t[2], t[3] = rel.Int(pos), rel.Int(ka.elem), rel.Int(ka.completed), rel.Int(ka.o.Index)
-					if !yield(t) {
-						return
-					}
-				}
-			})
-
+		observed := make([]bool, len(c.first))
+		for _, e := range lr.elems {
+			if i, ok := c.lookup(e); ok {
+				observed[i] = true
+			}
+		}
+		kname := a.in.Key(k)
 		var out []anomaly.Anomaly
-		appends.
-			Select(func(t rel.Tuple) bool {
-				return int(t[3].Num()) != lr.o.Index && int(t[2].Num()) < lr.invoke
-			}).
-			AntiJoin(observedIx).
-			Each(func(t rel.Tuple) bool {
-				ka := kas[t[0].Num()]
-				out = append(out, anomaly.Anomaly{
-					Type: anomaly.LostUpdate,
-					Ops:  []op.Op{ka.o, lr.o},
-					Key:  kname,
-					Explanation: fmt.Sprintf(
-						"%s committed an append of %d to key %s before %s began, yet %s read %s without it: the update was lost",
-						ka.o.Name(), ka.elem, kname, lr.o.Name(), lr.o.Name(), op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)),
-				})
-				return true
+		for _, ca := range c.commits {
+			if ca.txn == lr.o.Index || ca.completed >= lr.invoke || observed[ca.ord] {
+				continue
+			}
+			w := a.ops[ca.txn]
+			out = append(out, anomaly.Anomaly{
+				Type: anomaly.LostUpdate,
+				Ops:  []op.Op{w, lr.o},
+				Key:  kname,
+				Explanation: fmt.Sprintf(
+					"%s committed an append of %d to key %s before %s began, yet %s read %s without it: the update was lost",
+					w.Name(), ca.elem, kname, lr.o.Name(), lr.o.Name(), op.FormatList(lr.o.Mops[readPos(lr.o, kname)].List)),
 			})
+		}
 		return out
 	}))
 }
@@ -765,15 +638,4 @@ func finalAppend(o op.Op, key string) int {
 		}
 	}
 	return last
-}
-
-func hasDuplicates(v []int) bool {
-	seen := make(map[int]bool, len(v))
-	for _, e := range v {
-		if seen[e] {
-			return true
-		}
-		seen[e] = true
-	}
-	return false
 }

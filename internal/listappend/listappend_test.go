@@ -229,6 +229,31 @@ func TestCrashedClientAppendIsNotGarbage(t *testing.T) {
 	if hasAnomaly(a, anomaly.GarbageRead) {
 		t.Fatalf("crashed client's append misreported as garbage: %v", a.Anomalies)
 	}
+
+	// Many readers of the crashed client's element, interleaved with
+	// readers of an element nobody appended: the first are never
+	// garbage, each of the second is garbage exactly once.
+	b := history.NewBuilder()
+	b.Invoke(0, []op.Mop{op.Append("x", 1)})
+	const readers = 200
+	for i := range readers {
+		p := 1 + i%3
+		b.Invoke(p, []op.Mop{op.Read("x"), op.Read("y")})
+		y := []int{}
+		if i%2 == 1 {
+			y = []int{99}
+		}
+		b.Complete(p, op.OK, []op.Mop{op.ReadList("x", []int{1}), op.ReadList("y", y)})
+	}
+	a = Analyze(b.MustHistory(), workload.Opts{})
+	if n := anomalyCount(a, anomaly.GarbageRead); n != readers/2 {
+		t.Fatalf("%d garbage reads, want %d (one per read of y = [99])", n, readers/2)
+	}
+	for _, an := range a.Anomalies {
+		if an.Type == anomaly.GarbageRead && an.Key != "y" {
+			t.Fatalf("crashed client's append misreported as garbage: %v", an)
+		}
+	}
 }
 
 // TestDuplicateElements: the same element twice in one read.

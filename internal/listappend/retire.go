@@ -27,16 +27,15 @@ func (s *session) note(o op.Op) {
 	}
 	if len(keys) == 0 {
 		delete(s.a.ops, o.Index)
-		delete(s.a.spanOf, o.Index)
 		return
 	}
 	s.rt.NoteOp(o.Index, keys)
 }
 
 // sweep retires every key quiescent for a full window: its version
-// order, clean-read cache, element indices, and — once no live key pins
-// them — its ops, then freezes the graph region those ops spanned. A
-// retired key seen again is re-analyzed as brand new.
+// order, clean-read cache, element columns and late readers, and — once
+// no live key pins them — its ops, then freezes the graph region those
+// ops spanned. A retired key seen again is re-analyzed as brand new.
 func (s *session) sweep() {
 	dead, deadOps := s.rt.Sweep()
 	if len(dead) == 0 && len(deadOps) == 0 {
@@ -52,6 +51,12 @@ func (s *session) sweep() {
 		if int(k) < len(s.orders) {
 			s.orders[k] = nil
 		}
+		if int(k) < len(a.cols) {
+			a.cols[k] = nil
+		}
+		if int(k) < len(s.late) {
+			s.late[k] = nil
+		}
 	}
 	if len(dead) > 0 {
 		live := s.keys[:0]
@@ -61,32 +66,9 @@ func (s *session) sweep() {
 			}
 		}
 		s.keys = live
-		// The per-element maps are keyed by (key, element); one full
-		// iteration per sweep frees every entry of every dead key.
-		for ek := range a.attempts {
-			if deadSet[ek.key] {
-				delete(a.attempts, ek)
-			}
-		}
-		for ek := range a.writer {
-			if deadSet[ek.key] {
-				delete(a.writer, ek)
-			}
-		}
-		for ek := range a.failedWriter {
-			if deadSet[ek.key] {
-				delete(a.failedWriter, ek)
-			}
-		}
-		for ek := range s.readersOf {
-			if deadSet[ek.key] {
-				delete(s.readersOf, ek)
-			}
-		}
 	}
 	for _, i := range deadOps {
 		delete(a.ops, i)
-		delete(a.spanOf, i)
 	}
 	// Freeze the settled graph region: nodes no live key pins can gain
 	// no further edges from maintained state. The sweep runs right after
