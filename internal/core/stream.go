@@ -74,7 +74,11 @@ func (s *Stream) Finish() (*CheckResult, error) {
 	s.done = true
 	// Feeding is over, so the session's accumulation is complete: the
 	// ordering graphs can build while the session finalizes.
-	s.h = s.sess.History()
+	h, err := s.sess.History()
+	if err != nil {
+		return nil, err
+	}
+	s.h = h
 	orders := startOrderGraphs(s.h, s.opts)
 	an, err := s.sess.Finish()
 	if err != nil {

@@ -366,3 +366,66 @@ func (x *Incr) DirtySCCs() [][]int {
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
+
+// Retire rebuilds the incremental graph in place over the nodes for
+// which keep returns true; every other node, and every edge touching
+// one, is dropped. Callers choose keep so that can't lose findings: a
+// session retires only nodes whose keys can gain no further edges, so
+// no cycle through a retired node can still form, and any that existed
+// was searched and surfaced before Retire ran. The dropped region is
+// not kept anywhere: a budgeted Finish re-analyzes the rehydrated
+// history instead.
+func (x *Incr) Retire(keep func(int) bool) {
+	old := x.g
+	// Survivors re-enter in the old topological order of their
+	// components (ties broken by dense id, which keeps each old SCC
+	// contiguous). Re-fed that way, every cross-component edge is
+	// order-respecting — an O(1) insert for Pearce-Kelly — and only
+	// within-SCC edges pay for restoration, which re-merges exactly the
+	// components that must collapse anyway. Feeding in dense-id order
+	// instead makes the rebuild quadratic-ish in practice: dense ids
+	// are arrival order, not topological order, so a large share of
+	// edges lands order-violating and triggers region reorderings.
+	type survivor struct {
+		ai  int32
+		ord int64
+	}
+	var survivors []survivor
+	for ai, n := range old.nodes {
+		if keep(n) {
+			survivors = append(survivors, survivor{int32(ai), x.ord[x.find(int32(ai))]})
+		}
+	}
+	sort.Slice(survivors, func(i, j int) bool {
+		if survivors[i].ord != survivors[j].ord {
+			return survivors[i].ord < survivors[j].ord
+		}
+		return survivors[i].ai < survivors[j].ai
+	})
+
+	x.g = New()
+	x.parent = x.parent[:0]
+	x.rank = x.rank[:0]
+	x.ord = x.ord[:0]
+	x.nextOrd = 0
+	x.members = map[int32][]int32{}
+	x.out = map[int32]map[int32]bool{}
+	x.in = map[int32]map[int32]bool{}
+	x.dirty = map[int32]bool{}
+
+	for _, s := range survivors {
+		x.ensure(old.nodes[s.ai]) // survivors keep their nodes even when isolated
+	}
+	for _, s := range survivors {
+		a := old.nodes[s.ai]
+		for _, e := range old.adj[s.ai] {
+			b := old.nodes[e.to]
+			if !keep(b) {
+				continue
+			}
+			for _, k := range e.ks.Kinds() {
+				x.AddEdge(a, b, k)
+			}
+		}
+	}
+}

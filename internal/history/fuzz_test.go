@@ -74,7 +74,10 @@ func FuzzHistoryNew(f *testing.F) {
 			// stream must reject at the first offending op it sees.
 			return
 		}
-		sh := s.History()
+		sh, err := s.History()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if h.Len() != sh.Len() || h.Compact() != sh.Compact() {
 			t.Fatalf("shape diverged: New len=%d compact=%v, Stream len=%d compact=%v",
 				h.Len(), h.Compact(), sh.Len(), sh.Compact())

@@ -63,7 +63,7 @@ type RetireStats struct {
 // encoded into either an in-memory byte slice or a spill-file extent.
 type segment struct {
 	data    []byte
-	ref     SpillRef
+	ref     spillRef
 	spilled bool
 	nops    int
 	ncomps  int
@@ -76,14 +76,14 @@ type retired struct {
 	comps int
 	bytes int // in-memory encoded bytes
 
-	spill    *Spill
+	spill    *spill
 	disabled bool // codec failed; no further retirement
 	degraded string
 }
 
 func (r *retired) closeSpill() {
 	if r.spill != nil {
-		r.spill.Close()
+		r.spill.close()
 	}
 }
 
@@ -106,7 +106,7 @@ func (s *Stream) RetireStats() RetireStats {
 		Degraded:           s.retired.degraded,
 	}
 	if s.retired.spill != nil {
-		st.SpilledBytes = s.retired.spill.Size()
+		st.SpilledBytes = s.retired.spill.size()
 	}
 	return st
 }
@@ -194,21 +194,21 @@ func (s *Stream) retire(drop int) {
 // spillSegment writes one encoded segment to the spill file, opening it
 // lazily. Any I/O failure downgrades to in-memory segments for the rest
 // of the stream.
-func (s *Stream) spillSegment(data []byte) (SpillRef, bool) {
+func (s *Stream) spillSegment(data []byte) (spillRef, bool) {
 	if s.retired.spill == nil {
-		sp, err := NewSpill(s.budget.SpillDir)
+		sp, err := newSpill(s.budget.SpillDir)
 		if err != nil {
 			s.budget.SpillDir = ""
 			s.retired.degraded = "spill disabled: " + err.Error()
-			return SpillRef{}, false
+			return spillRef{}, false
 		}
 		s.retired.spill = sp
 	}
-	ref, err := s.retired.spill.Append(data)
+	ref, err := s.retired.spill.append(data)
 	if err != nil {
 		s.budget.SpillDir = ""
 		s.retired.degraded = "spill disabled: " + err.Error()
-		return SpillRef{}, false
+		return spillRef{}, false
 	}
 	return ref, true
 }
@@ -223,7 +223,7 @@ func (s *Stream) Replay(fn func(op.Op) error) error {
 		data := seg.data
 		if seg.spilled {
 			var err error
-			buf, err = s.retired.spill.Read(seg.ref, buf[:0])
+			buf, err = s.retired.spill.read(seg.ref, buf[:0])
 			if err != nil {
 				return err
 			}

@@ -114,7 +114,7 @@ func FuzzStreamRetirement(f *testing.F) {
 		if perr != nil {
 			return
 		}
-		ph, bh := plain.History(), budgeted.History()
+		ph, bh := mustHistory(t, plain), mustHistory(t, budgeted)
 		if !reflect.DeepEqual(ph.Ops, bh.Ops) {
 			t.Fatalf("rehydrated ops diverged: %d vs %d", len(bh.Ops), len(ph.Ops))
 		}

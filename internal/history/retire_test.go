@@ -53,10 +53,21 @@ func pairedOps(nTxns, nproc int) []op.Op {
 	return out
 }
 
+// mustHistory returns s's history, failing the test on error.
+func mustHistory(t *testing.T, s *history.Stream) *history.History {
+	t.Helper()
+	h, err := s.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // mustEqualHistories asserts the budgeted stream rehydrates to exactly
 // what New builds from the same ops: same op sequence, spans, views.
-func mustEqualHistories(t *testing.T, got *history.History, ops []op.Op) {
+func mustEqualHistories(t *testing.T, s *history.Stream, ops []op.Op) {
 	t.Helper()
+	got := mustHistory(t, s)
 	want := history.MustNew(ops)
 	if !reflect.DeepEqual(got.Ops, want.Ops) {
 		t.Fatalf("rehydrated ops differ: got %d ops, want %d", len(got.Ops), len(want.Ops))
@@ -96,9 +107,9 @@ func TestStreamRetireRehydratesCompact(t *testing.T) {
 	if s.Len() != len(ops) {
 		t.Fatalf("Len() = %d, want %d", s.Len(), len(ops))
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 	// History is cached: a second call returns the same rehydration.
-	if s.History() != s.History() {
+	if mustHistory(t, s) != mustHistory(t, s) {
 		t.Fatal("rehydrated history not cached")
 	}
 }
@@ -113,7 +124,7 @@ func TestStreamRetireRehydratesPaired(t *testing.T) {
 	if s.RetireStats().RetiredOps == 0 {
 		t.Fatal("expected retirement")
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }
 
 func TestStreamRetirePinsOpenSpans(t *testing.T) {
@@ -154,7 +165,7 @@ func TestStreamRetirePinsOpenSpans(t *testing.T) {
 	if got := s.RetireStats().RetiredOps; got == 0 {
 		t.Fatal("expected retirement once the pinned span closed")
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }
 
 // pipelinedOps builds a history where nproc clients are busy at every
@@ -202,7 +213,7 @@ func TestStreamRetirePipelined(t *testing.T) {
 	if st.ResidentOps > 5*16 {
 		t.Fatalf("resident ops %d not bounded by the window", st.ResidentOps)
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }
 
 func TestStreamRetireSpill(t *testing.T) {
@@ -222,7 +233,7 @@ func TestStreamRetireSpill(t *testing.T) {
 	if st.Degraded != "" {
 		t.Fatalf("unexpected degradation: %s", st.Degraded)
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }
 
 func TestStreamRetireSpillDirFailure(t *testing.T) {
@@ -239,7 +250,7 @@ func TestStreamRetireSpillDirFailure(t *testing.T) {
 	if st.RetiredOps == 0 || st.RetiredBytes == 0 {
 		t.Fatalf("expected in-memory fallback retirement; stats %+v", st)
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }
 
 func TestStreamReplay(t *testing.T) {
@@ -298,7 +309,7 @@ func TestStreamRetireRejectsRetroactivePairing(t *testing.T) {
 		t.Fatalf("err = %v, want retroactive pairing error", err)
 	}
 	// The accepted prefix is still a valid history.
-	if got := s.History().Len(); got != 50 {
+	if got := mustHistory(t, s).Len(); got != 50 {
 		t.Fatalf("history after error has %d ops, want 50", got)
 	}
 }
@@ -315,5 +326,5 @@ func TestStreamNoBudgetUnchanged(t *testing.T) {
 	if st.RetiredOps != 0 || st.Segments != 0 || st.ResidentOps != 300 {
 		t.Fatalf("unbudgeted stream retired: %+v", st)
 	}
-	mustEqualHistories(t, s.History(), ops)
+	mustEqualHistories(t, s, ops)
 }

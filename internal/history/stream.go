@@ -192,36 +192,37 @@ func (s *Stream) SpanOf(index int) [2]int {
 // rehydrates it: every segment is decoded back, the full op sequence is
 // re-validated through New, and the result is cached — an O(history)
 // operation in time and memory, paid once at finish rather than
-// throughout the stream's life. It panics if a spilled segment can no
-// longer be read (the spill file lives unlinked on local disk for
-// exactly the stream's lifetime, so this indicates hardware-level I/O
-// failure).
-func (s *Stream) History() *History {
+// throughout the stream's life. It returns an error, and caches
+// nothing, when a spilled segment cannot be read back intact (the
+// spill file lives unlinked on local disk for exactly the stream's
+// lifetime, and each extent is checksummed) or when the rehydrated ops
+// fail validation.
+func (s *Stream) History() (*History, error) {
 	if s.retired.ops == 0 {
 		h := &History{Ops: s.ops, compact: !s.hasInvoke, keys: s.keys}
 		if !h.compact {
 			h.completion = s.completion
 			h.invocation = s.invocation
 		}
-		return h
+		return h, nil
 	}
 	if s.hist != nil {
-		return s.hist
+		return s.hist, nil
 	}
 	ops := make([]op.Op, 0, s.retired.ops+len(s.ops))
 	if err := s.Replay(func(o op.Op) error {
 		ops = append(ops, o)
 		return nil
 	}); err != nil {
-		panic(fmt.Sprintf("history: rehydrating retired segments: %v", err))
+		return nil, fmt.Errorf("history: rehydrating retired segments: %w", err)
 	}
 	h, err := New(ops)
 	if err != nil {
 		// Every op was validated incrementally on the way in; a segment
 		// that decodes to something New rejects is a codec bug.
-		panic(fmt.Sprintf("history: rehydrated stream failed validation: %v", err))
+		return nil, fmt.Errorf("history: rehydrated stream failed validation: %w", err)
 	}
 	s.hist = h
 	s.retired.closeSpill()
-	return h
+	return h, nil
 }

@@ -36,7 +36,10 @@ func TestStreamMatchesNew(t *testing.T) {
 			if err := s.AddAll(ops[3:]); err != nil {
 				t.Fatal(err)
 			}
-			got := s.History()
+			got, err := s.History()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got.Compact() != want.Compact() {
 				t.Fatalf("compact = %v, want %v", got.Compact(), want.Compact())
 			}

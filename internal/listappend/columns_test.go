@@ -38,14 +38,18 @@ func assertSameAnalysis(t *testing.T, label string, got, want *Analysis) {
 }
 
 // assertSessionMatches streams h through a session in chunks of the
-// given size and compares its Finish with the batch analysis.
-func assertSessionMatches(t *testing.T, label string, h *history.History, opts workload.Opts, chunk int, want *Analysis) {
+// given size, calling afterFeed (when non-nil) after every chunk, and
+// compares its Finish with the batch analysis.
+func assertSessionMatches(t *testing.T, label string, h *history.History, opts workload.Opts, chunk int, want *Analysis, afterFeed func(*session)) {
 	t.Helper()
-	s := beginSession(opts)
+	s := beginSession(opts).(*session)
 	for ops := h.Ops; len(ops) > 0; {
 		n := min(chunk, len(ops))
 		if _, err := s.Feed(ops[:n]); err != nil {
 			t.Fatalf("%s: Feed: %v", label, err)
+		}
+		if afterFeed != nil {
+			afterFeed(s)
 		}
 		ops = ops[n:]
 	}
@@ -232,7 +236,7 @@ func FuzzAnalyze(f *testing.F) {
 		chunk := 1 + int(ctl>>1)%8
 		for _, budget := range []int{0, 16} {
 			opts.MemoryBudget = budget
-			assertSessionMatches(t, fmt.Sprintf("budget=%d chunk=%d", budget, chunk), h, opts, chunk, want)
+			assertSessionMatches(t, fmt.Sprintf("budget=%d chunk=%d", budget, chunk), h, opts, chunk, want, nil)
 		}
 	})
 }

@@ -53,10 +53,9 @@ type session struct {
 	sinceScan int
 	done      bool
 
-	// Memory-budget state (nil without a budget): quiescent-key tracking
-	// and the store for frozen graph segments. See retire.go.
-	rt     *workload.KeyTracker
-	frozen *workload.FrozenStore
+	// Memory-budget state (nil without a budget): quiescent-key
+	// tracking. See retire.go.
+	rt *workload.KeyTracker
 }
 
 // keyState is one key's maintained inference state.
@@ -79,7 +78,6 @@ func beginSession(opts workload.Opts) workload.Session {
 	if opts.MemoryBudget > 0 {
 		hs.SetBudget(workload.StreamBudget(opts))
 		s.rt = workload.NewKeyTracker(opts.MemoryBudget)
-		s.frozen = workload.NewFrozenStore(opts.SpillDir)
 		s.a.windowed = true
 	}
 	return s
@@ -357,14 +355,17 @@ func (s *session) Finish() (workload.Analysis, error) {
 		// the batch validator refuses.
 		return workload.Analysis{}, err
 	}
+	h, err := s.hs.History()
+	if err != nil {
+		return workload.Analysis{}, err
+	}
 	if s.rt != nil {
 		// Budgeted sessions retired analyzer state along the way, so the
-		// maintained indices are windows, not the whole history. Rehydrate
-		// the stream (History decodes every retired segment) and run the
-		// batch analyzer over it — byte-identical to batch by
-		// construction, at the documented O(history) finish cost.
-		s.frozen.Close()
-		an := Analyze(s.hs.History(), s.a.opts)
+		// maintained indices are windows, not the whole history. Run the
+		// batch analyzer over the rehydrated stream (History decoded every
+		// retired segment) — byte-identical to batch by construction, at
+		// the documented O(history) finish cost.
+		an := Analyze(h, s.a.opts)
 		return workload.Analysis{
 			Graph:     an.Graph,
 			Anomalies: an.Anomalies,
@@ -372,7 +373,7 @@ func (s *session) Finish() (workload.Analysis, error) {
 		}, nil
 	}
 	a := s.a
-	a.h = s.hs.History()
+	a.h = h
 	p := a.opts.Parallelism
 
 	for k := range s.touched {
@@ -419,7 +420,7 @@ func (s *session) Finish() (workload.Analysis, error) {
 
 // History returns the session's validated accumulation; call after
 // Finish (it aliases live state).
-func (s *session) History() *history.History { return s.hs.History() }
+func (s *session) History() (*history.History, error) { return s.hs.History() }
 
 // readListOf recovers the list value with which reader observed
 // element elem of key — for the late-abort G1a path, where the read

@@ -9,7 +9,7 @@ import (
 // This file is the session's memory-budget half: with a budget
 // configured (workload.Opts.MemoryBudget), per-key inference state is
 // kept only for keys touched within the window, and the incremental
-// graph's settled regions are condensed into immutable frozen segments.
+// graph's settled regions are dropped.
 // Mid-stream findings from a budgeted session are a subset of the
 // unbudgeted session's — evidence that was retired cannot be cited —
 // which the workload.Delta contract permits; the definitive analysis
@@ -34,7 +34,7 @@ func (s *session) note(o op.Op) {
 
 // sweep retires every key quiescent for a full window: its version
 // order, clean-read cache, element columns and late readers, and — once
-// no live key pins them — its ops, then freezes the graph region those
+// no live key pins them — its ops, then drops the graph region those
 // ops spanned. A retired key seen again is re-analyzed as brand new.
 func (s *session) sweep() {
 	dead, deadOps := s.rt.Sweep()
@@ -70,14 +70,11 @@ func (s *session) sweep() {
 	for _, i := range deadOps {
 		delete(a.ops, i)
 	}
-	// Freeze the settled graph region: nodes no live key pins can gain
-	// no further edges from maintained state. The sweep runs right after
-	// a scan, so their components' witnesses have already been searched
+	// Drop the settled graph region: nodes no live key pins can gain no
+	// further edges from maintained state. The sweep runs right after a
+	// scan, so their components' witnesses have already been searched
 	// and surfaced.
-	fz := s.incr.Retire(s.rt.LiveOp)
-	if fz.NumNodes() > 0 {
-		s.frozen.Add(fz)
-	}
+	s.incr.Retire(s.rt.LiveOp)
 }
 
 // RetireStats implements workload.Retirer.
@@ -85,7 +82,6 @@ func (s *session) RetireStats() workload.RetireStats {
 	st := workload.RetireStats{Stream: s.hs.RetireStats()}
 	if s.rt != nil {
 		st.RetiredKeys = s.rt.RetiredKeys()
-		s.frozen.AddTo(&st)
 	}
 	return st
 }

@@ -170,7 +170,7 @@ func (s *session) scan(d *workload.Delta) {
 
 // History returns the session's validated accumulation; call after
 // Finish (it aliases live state).
-func (s *session) History() *history.History { return s.hs.History() }
+func (s *session) History() (*history.History, error) { return s.hs.History() }
 
 // emit surfaces one finding unless an earlier feed already did.
 func (s *session) emit(d *workload.Delta, key string, an anomaly.Anomaly) {
@@ -194,12 +194,16 @@ func (s *session) Finish() (workload.Analysis, error) {
 		// the batch validator refuses.
 		return workload.Analysis{}, err
 	}
+	h, err := s.hs.History()
+	if err != nil {
+		return workload.Analysis{}, err
+	}
 	if s.rt != nil {
 		// Budgeted sessions retired per-key state along the way; the
-		// caches are windows, not the whole history. Rehydrate the stream
-		// and run the batch analyzer — byte-identical to batch by
+		// caches are windows, not the whole history. Run the batch
+		// analyzer over the rehydrated stream — byte-identical to batch by
 		// construction, at the documented O(history) finish cost.
-		an := Analyze(s.hs.History(), s.a.opts)
+		an := Analyze(h, s.a.opts)
 		return workload.Analysis{
 			Graph:     an.Graph,
 			Anomalies: an.Anomalies,
@@ -207,7 +211,7 @@ func (s *session) Finish() (workload.Analysis, error) {
 		}, nil
 	}
 	a := s.a
-	a.h = s.hs.History()
+	a.h = h
 	p := a.opts.Parallelism
 
 	pending := make([]history.KeyID, 0, len(s.touched))

@@ -46,7 +46,8 @@ type Delta struct {
 // to running the batch Analyzer over the concatenation of every chunk.
 // History exposes the session's validated accumulation, so callers
 // (core.Stream) need not keep — and re-validate — a second copy of the
-// ops; call it once, after Finish.
+// ops; call it once feeding is over. It fails when a budgeted session's
+// retired segments cannot be read back (see history.Stream.History).
 //
 // Sessions are single-goroutine: Feed and Finish must not be called
 // concurrently. Internally they may fan work out across
@@ -55,7 +56,7 @@ type Delta struct {
 type Session interface {
 	Feed(ops []op.Op) (Delta, error)
 	Finish() (Analysis, error)
-	History() *history.History
+	History() (*history.History, error)
 }
 
 // Incremental is the optional extension a workload analyzer implements
@@ -129,10 +130,14 @@ func (s *batchSession) Finish() (Analysis, error) {
 		// the batch validator refuses.
 		return Analysis{}, err
 	}
-	return s.analyzer.Analyze(s.hs.History(), s.opts), nil
+	h, err := s.hs.History()
+	if err != nil {
+		return Analysis{}, err
+	}
+	return s.analyzer.Analyze(h, s.opts), nil
 }
 
-func (s *batchSession) History() *history.History { return s.hs.History() }
+func (s *batchSession) History() (*history.History, error) { return s.hs.History() }
 
 // RetireStats implements Retirer: only the op stream retires here (see
 // the type comment's escape hatch).

@@ -2,13 +2,13 @@ package workload
 
 import (
 	"repro/internal/binhist"
-	"repro/internal/graph"
 	"repro/internal/history"
 )
 
 // RetireStats reports how much of a budgeted streaming session has been
-// retired: the history stream's own counters plus whatever analyzer
-// state the session released (key caches, frozen graph segments).
+// retired: the history stream's own counters plus the analyzer state
+// the session released. Settled graph regions are dropped, not kept, so
+// they have no counter here.
 type RetireStats struct {
 	// Stream is the underlying op stream's retirement counters.
 	Stream history.RetireStats
@@ -16,15 +16,6 @@ type RetireStats struct {
 	// orders, clean-read caches) has been released. A key seen again
 	// after retirement is treated as brand new and counted again.
 	RetiredKeys int
-	// FrozenSegments / FrozenNodes / FrozenEdges describe the settled
-	// graph regions condensed into immutable CSR segments.
-	FrozenSegments int
-	FrozenNodes    int
-	FrozenEdges    int
-	// FrozenBytes is the encoded frozen-segment bytes held in memory;
-	// FrozenSpilledBytes the encoded bytes written to the spill file.
-	FrozenBytes        int
-	FrozenSpilledBytes int64
 }
 
 // Retirer is the optional Session extension a budget-aware session
@@ -128,102 +119,3 @@ func (t *KeyTracker) Sweep() (dead []history.KeyID, deadOps []int) {
 
 // RetiredKeys returns the total keys retired over the tracker's life.
 func (t *KeyTracker) RetiredKeys() int { return t.retired }
-
-// frozenSeg is one encoded graph.Frozen, in memory or spilled.
-type frozenSeg struct {
-	data    []byte
-	ref     history.SpillRef
-	spilled bool
-}
-
-// FrozenStore accumulates encoded frozen-graph segments, reusing the
-// history spill machinery when a spill directory is configured. Like
-// stream retirement it degrades rather than fails: spill trouble keeps
-// segments in memory.
-type FrozenStore struct {
-	spillDir string
-	segs     []frozenSeg
-	spill    *history.Spill
-	nodes    int
-	edges    int
-	bytes    int
-}
-
-// NewFrozenStore returns a store spilling to dir ("" keeps segments in
-// memory).
-func NewFrozenStore(dir string) *FrozenStore {
-	return &FrozenStore{spillDir: dir}
-}
-
-// Add encodes and stores one frozen region.
-func (f *FrozenStore) Add(fz *graph.Frozen) {
-	f.nodes += fz.NumNodes()
-	f.edges += fz.NumEdges()
-	data := fz.Encode(nil)
-	seg := frozenSeg{}
-	if f.spillDir != "" {
-		if f.spill == nil {
-			sp, err := history.NewSpill(f.spillDir)
-			if err != nil {
-				f.spillDir = ""
-			} else {
-				f.spill = sp
-			}
-		}
-		if f.spill != nil {
-			if ref, err := f.spill.Append(data); err == nil {
-				seg.ref, seg.spilled = ref, true
-			} else {
-				f.spillDir = ""
-			}
-		}
-	}
-	if !seg.spilled {
-		seg.data = data
-		f.bytes += len(data)
-	}
-	f.segs = append(f.segs, seg)
-}
-
-// Segments iterates the stored regions, decoding each in turn.
-func (f *FrozenStore) Segments(fn func(*graph.Frozen) error) error {
-	var buf []byte
-	for _, seg := range f.segs {
-		data := seg.data
-		if seg.spilled {
-			var err error
-			buf, err = f.spill.Read(seg.ref, buf[:0])
-			if err != nil {
-				return err
-			}
-			data = buf
-		}
-		fz, err := graph.DecodeFrozen(data)
-		if err != nil {
-			return err
-		}
-		if err := fn(fz); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close releases the spill file, if any.
-func (f *FrozenStore) Close() {
-	if f.spill != nil {
-		f.spill.Close()
-		f.spill = nil
-	}
-}
-
-// AddTo folds the store's counters into st.
-func (f *FrozenStore) AddTo(st *RetireStats) {
-	st.FrozenSegments += len(f.segs)
-	st.FrozenNodes += f.nodes
-	st.FrozenEdges += f.edges
-	st.FrozenBytes += f.bytes
-	if f.spill != nil {
-		st.FrozenSpilledBytes += f.spill.Size()
-	}
-}

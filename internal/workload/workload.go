@@ -90,9 +90,10 @@ type Opts struct {
 
 	// MemoryBudget, when > 0, bounds a streaming session's resident
 	// memory: roughly the last MemoryBudget completions stay fully
-	// resident, while settled prefixes — closed spans behind the window,
-	// quiescent keys' caches, frozen graph regions — are retired into
-	// compact encoded segments. Finish still returns an Analysis
+	// resident, while settled prefixes — closed spans behind the window —
+	// are retired into compact encoded segments, and quiescent keys'
+	// caches and settled graph regions are dropped. Finish still returns
+	// an Analysis
 	// byte-identical to the batch analyzer (it rehydrates the retired
 	// segments), so the budget trades finish-time work for feed-phase
 	// memory. Batch analyzers ignore it.
